@@ -7,6 +7,8 @@ determinants, decompositions and rewrites are computed over Python ints
 and re-verified by multiplication before they are returned.
 """
 
+import importlib
+
 from .intmat import (
     IntMatrix,
     MatrixFormatError,
@@ -86,30 +88,51 @@ from .finitegrp import (
     representative_matrix,
     sl_order,
 )
-from .spheres import (
-    AlgebraElement,
-    CollisionWitness,
-    PhaseAmbiguityError,
-    antipodal_map,
-    complex_unit,
-    compose_maps,
-    degree_estimate,
-    degree_estimate_details,
-    induced_matrix_on_torus,
-    octonion_unit,
-    p_a_eval,
-    p_a_torus_map,
-    p_ij_eval,
-    p_word_torus_map,
-    psi_eval,
-    psi_map,
-    quaternion,
-    quaternion_collision_witness,
-    reflection_shear_torus_map,
-    slot_conjugation_torus_map,
-    tangent_frame,
-    uniform_sphere_samples,
-)
-from .ledger import LedgerEntry, LedgerResult, all_entries, run_ledger
+# The numerical modules need numpy; they load on first use (PEP 562), so
+# the exact core imports without it.
+_LAZY = {
+    "spheres": (
+        "AlgebraElement",
+        "CollisionWitness",
+        "PhaseAmbiguityError",
+        "antipodal_map",
+        "complex_unit",
+        "compose_maps",
+        "degree_estimate",
+        "degree_estimate_details",
+        "induced_matrix_on_torus",
+        "octonion_unit",
+        "p_a_eval",
+        "p_a_torus_map",
+        "p_ij_eval",
+        "p_word_torus_map",
+        "psi_eval",
+        "psi_map",
+        "quaternion",
+        "quaternion_collision_witness",
+        "reflection_shear_torus_map",
+        "slot_conjugation_torus_map",
+        "tangent_frame",
+        "uniform_sphere_samples",
+    ),
+    "ledger": ("LedgerEntry", "LedgerResult", "all_entries", "run_ledger"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = name if name in _LAZY else _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_MODULE))
+
 
 __version__ = "0.1.0"

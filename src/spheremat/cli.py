@@ -18,9 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .intmat import (
     IntMatrix,
@@ -58,20 +56,12 @@ from .finitegrp import (
     power_subgroup,
     sl_order,
 )
-from .spheres import (
-    PhaseAmbiguityError,
-    antipodal_map,
-    compose_maps,
-    degree_estimate_details,
-    induced_matrix_on_torus,
-    p_a_torus_map,
-    p_word_torus_map,
-    psi_map,
-    quaternion_collision_witness,
-    reflection_shear_torus_map,
-    slot_conjugation_torus_map,
-)
-from .ledger import run_ledger
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy, `spheres` and `ledger` load inside the four numerical subcommands
+# (degree, induced, quat-witness, ledger), so exact calls start without them.
 
 SCHEMA = "spheremat/1"
 
@@ -397,6 +387,8 @@ def _cmd_normality(args: argparse.Namespace) -> int:
 
 
 def _cmd_quat_witness(args: argparse.Namespace) -> int:
+    from .spheres import quaternion_collision_witness
+
     w = quaternion_collision_witness()
     payload = {
         "schema": SCHEMA,
@@ -415,6 +407,10 @@ def _cmd_quat_witness(args: argparse.Namespace) -> int:
 
 
 def _degree_map(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
+    import numpy as np
+
+    from .spheres import antipodal_map, psi_map
+
     if args.map == "identity":
         return lambda pts: pts
     if args.map == "antipodal":
@@ -438,6 +434,8 @@ def _degree_map(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
+    from .spheres import degree_estimate_details
+
     fn = _degree_map(args)
     estimate, stderr = degree_estimate_details(
         fn, args.k, sample_count=args.samples, seed=args.seed, step=args.step
@@ -462,6 +460,14 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 def _induced_map_and_expected(
     args: argparse.Namespace,
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Optional[IntMatrix]]:
+    from .spheres import (
+        compose_maps,
+        p_a_torus_map,
+        p_word_torus_map,
+        reflection_shear_torus_map,
+        slot_conjugation_torus_map,
+    )
+
     chosen = [
         x for x in (args.matrix, args.word, args.construction) if x is not None
     ]
@@ -491,8 +497,14 @@ def _induced_map_and_expected(
 
 
 def _cmd_induced(args: argparse.Namespace) -> int:
+    from .spheres import PhaseAmbiguityError, induced_matrix_on_torus
+
     fn, expected = _induced_map_and_expected(args)
-    measured = induced_matrix_on_torus(fn, args.n, resolution=args.resolution)
+    try:
+        measured = induced_matrix_on_torus(fn, args.n, resolution=args.resolution)
+    except PhaseAmbiguityError as exc:  # a RuntimeError, which main does not map
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 3
     payload = {
         "schema": SCHEMA,
         "command": "induced",
@@ -510,6 +522,8 @@ def _cmd_induced(args: argparse.Namespace) -> int:
 
 
 def _cmd_ledger(args: argparse.Namespace) -> int:
+    from .ledger import run_ledger
+
     results = run_ledger()
     if args.format == "text":
         for r in results:
@@ -660,9 +674,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc))
     except GroupSizeLimitError as exc:
         return _fail(f"{exc} (raise --max-size if this is intentional)")
-    except PhaseAmbiguityError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         return _fail(str(exc))
 

@@ -96,26 +96,14 @@ class IntMatrix:
         return _det_bareiss(self.rows)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse via the adjugate; input must have determinant +-1."""
-        d = self.det()
+        """Exact inverse of a determinant +-1 matrix, re-verified by multiplication."""
+        d, adj = _det_adjugate(self.rows)
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det={d})")
-        n = self.n
-        if n == 1:
-            return IntMatrix(((d,),))
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = tuple(
-                    tuple(self.rows[r][c] for c in range(n) if c != j)
-                    for r in range(n)
-                    if r != i
-                )
-                cof = _det_cofactor(minor) if n - 1 <= 4 else _det_bareiss(minor)
-                if (i + j) % 2:
-                    cof = -cof
-                adj[j][i] = cof * d
-        return IntMatrix(adj)
+        inv = IntMatrix([[d * x for x in row] for row in adj])
+        if self * inv != IntMatrix.identity(self.n):
+            raise AssertionError("unimodular inverse failed re-multiplication")
+        return inv
 
     def reduce_mod(self, m: int) -> "ResidueMatrix":
         if m < 2:
@@ -161,6 +149,37 @@ def _det_bareiss(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _det_adjugate(rows) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate by fraction-free Gauss-Jordan on [A | I].
+
+    Bareiss (1968): after step k the first k+1 columns of the left block are
+    p_k times the identity, p_k being the current pivot, and each update
+    divides exactly by the previous pivot. The last pivot is det(A) up to
+    the sign of the row swaps, and the right block is then adj(A) up to the
+    same sign. A singular matrix gives (0, []).
+    """
+    n = len(rows)
+    a = [list(row) + [int(c == r) for c in range(n)] for r, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, []
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 class ResidueMatrix:
@@ -209,27 +228,11 @@ class ResidueMatrix:
 
     def inverse(self) -> "ResidueMatrix":
         """Inverse mod m; the determinant must be a unit."""
-        d = self.det()
+        d, adj = _det_adjugate(self.rows)
         if math.gcd(d, self.m) != 1:
-            raise ValueError(f"determinant {d} is not a unit mod {self.m}")
-        lifted = self.lift()
-        n, m = self.n, self.m
-        dinv = pow(d, -1, m)
-        if n == 1:
-            return ResidueMatrix(((dinv,),), m)
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = tuple(
-                    tuple(lifted.rows[r][c] for c in range(n) if c != j)
-                    for r in range(n)
-                    if r != i
-                )
-                cof = _det_cofactor(minor) if n - 1 <= 4 else _det_bareiss(minor)
-                if (i + j) % 2:
-                    cof = -cof
-                adj[j][i] = (cof % m) * dinv % m
-        return ResidueMatrix(adj, m)
+            raise ValueError(f"determinant {d % self.m} is not a unit mod {self.m}")
+        dinv = pow(d, -1, self.m)
+        return ResidueMatrix([[x * dinv for x in row] for row in adj], self.m)
 
     def __pow__(self, exponent: int) -> "ResidueMatrix":
         if exponent < 0:

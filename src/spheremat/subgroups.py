@@ -123,7 +123,8 @@ def coset_certificate(a: IntMatrix) -> CosetCertificate:
         swap = Permutation.transposition(n, 1, 2)
         sigma = cls * swap
         lead = tau_matrix(n)
-    residual = sigma.matrix().inverse_unimodular() * lead.inverse_unimodular() * a
+    # both factors are orthogonal: P_sigma^-1 = P_sigma^T and tau^-1 = tau^T = tau^3
+    residual = sigma.matrix().transpose() * lead.transpose() * a
     cert = CosetCertificate(uses_tau=uses_tau, sigma=sigma, residual=residual)
     if not cert.verify(a):
         raise AssertionError("coset certificate failed self-verification")

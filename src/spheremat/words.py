@@ -15,6 +15,11 @@ and evaluates left to right. Words tagged as congruence words use only
 E letters with even exponents, J/JR letters, and NEG (n = 2): these
 generate the level-2 congruence subgroup.
 
+Evaluation applies each letter to the columns of the running product in
+place: an elementary letter adds a multiple of one column to another, and
+the other letters negate or permute columns. A word of L letters costs
+O(L*n) integer operations, whatever its exponents.
+
 The conjugation rewrite tables below (pushing an elementary letter across
 a congruence generator) are not taken on faith: every case is re-verified
 by exact multiplication on each call, and a bounded breadth-first search
@@ -28,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .intmat import IntMatrix, elementary_matrix, tau_matrix
+from .intmat import IntMatrix
 from .permutation import Permutation
 from .subgroups import NotInGroupError, in_congruence
 
@@ -103,38 +108,65 @@ def P(sigma: Permutation) -> GeneratorSymbol:
 Letter = tuple[GeneratorSymbol, int]
 
 
+def _apply_letters(cols: list[list[int]], letters: Iterable[Letter], n: int) -> None:
+    """Right-multiply the matrix held as the column list `cols` by each letter.
+
+    The columns are replaced in place. A letter whose indices do not fit in
+    dimension n raises ValueError.
+    """
+    for sym, exp in letters:
+        kind = sym.kind
+        if kind == "E":
+            i, j = sym.i, sym.j
+            if i > n or j > n:
+                raise ValueError(f"E({i},{j}) does not fit in dimension {n}")
+            # E(i,j)^t adds t * column i to column j
+            cols[j - 1] = [d + exp * s for d, s in zip(cols[j - 1], cols[i - 1])]
+        elif kind == "TAU":
+            if n < 2:
+                raise ValueError("tau requires n >= 2")
+            for _ in range(exp % 4):
+                cols[0], cols[1] = cols[1], [-x for x in cols[0]]
+        elif kind == "P":
+            sigma = sym.sigma
+            if sigma.n != n:
+                raise ValueError(f"permutation acts on {sigma.n} points, not {n}")
+            if not sigma.is_even:
+                raise ValueError("P letters carry even permutations only")
+            # P(sigma)^e moves column r to column sigma^e(r)
+            old = cols[:]
+            for cyc in sigma.cycles():
+                shift = exp % len(cyc)
+                for pos, r in enumerate(cyc):
+                    cols[cyc[(pos + shift) % len(cyc)] - 1] = old[r - 1]
+        else:
+            if kind == "J":
+                if not 1 <= sym.i < n:
+                    raise ValueError(f"J({sym.i}) needs 1 <= i < n, n={n}")
+                flips = (sym.i - 1, sym.i)
+            elif kind == "JR":
+                if sym.i > n or sym.j > n:
+                    raise ValueError(f"JR({sym.i},{sym.j}) does not fit in dimension {n}")
+                flips = (sym.i - 1, sym.j - 1)
+            else:
+                if n != 2:
+                    raise ValueError("NEG is a generator only in dimension 2")
+                flips = (0, 1)
+            # sign flips are involutions
+            if exp % 2:
+                for c in flips:
+                    cols[c] = [-x for x in cols[c]]
+
+
+def _evaluate(n: int, letters: Iterable[Letter]) -> IntMatrix:
+    cols = [[int(r == c) for r in range(n)] for c in range(n)]
+    _apply_letters(cols, letters, n)
+    return IntMatrix(zip(*cols))
+
+
 def symbol_matrix(sym: GeneratorSymbol, n: int) -> IntMatrix:
     """Exact matrix of a letter in dimension n; validates index ranges."""
-    if sym.kind == "E":
-        if sym.i > n or sym.j > n:
-            raise ValueError(f"E({sym.i},{sym.j}) does not fit in dimension {n}")
-        return elementary_matrix(n, sym.i, sym.j)
-    if sym.kind == "J":
-        if not 1 <= sym.i < n:
-            raise ValueError(f"J({sym.i}) needs 1 <= i < n, n={n}")
-        diag = [1] * n
-        diag[sym.i - 1] = -1
-        diag[sym.i] = -1
-        return IntMatrix.diagonal(diag)
-    if sym.kind == "JR":
-        if sym.i > n or sym.j > n:
-            raise ValueError(f"JR({sym.i},{sym.j}) does not fit in dimension {n}")
-        diag = [1] * n
-        diag[sym.i - 1] = -1
-        diag[sym.j - 1] = -1
-        return IntMatrix.diagonal(diag)
-    if sym.kind == "TAU":
-        return tau_matrix(n)
-    if sym.kind == "NEG":
-        if n != 2:
-            raise ValueError("NEG is a generator only in dimension 2")
-        return IntMatrix.diagonal([-1, -1])
-    # P
-    if sym.sigma.n != n:
-        raise ValueError(f"permutation acts on {sym.sigma.n} points, not {n}")
-    if not sym.sigma.is_even:
-        raise ValueError("P letters carry even permutations only")
-    return sym.sigma.matrix()
+    return _evaluate(n, ((sym, 1),))
 
 
 @dataclass(frozen=True)
@@ -155,10 +187,7 @@ class GeneratorWord:
         return len(self.letters)
 
     def matrix(self) -> IntMatrix:
-        out = IntMatrix.identity(self.n)
-        for sym, exp in self.letters:
-            out = out * (symbol_matrix(sym, self.n) ** exp)
-        return out
+        return _evaluate(self.n, self.letters)
 
     def inverse(self) -> "GeneratorWord":
         return GeneratorWord(
@@ -342,9 +371,7 @@ def _conjugate_rewrite_checked(
         raise ValueError("generator must be E(k,l)^2 or J(k)")
     letters = _expand_jr(raw, n)
     word = GeneratorWord(n, tuple(letters))
-    emat = symbol_matrix(esym, n) ** eexp
-    gmat = symbol_matrix(gsym, n) ** gexp
-    target = emat * gmat * emat.inverse_unimodular()
+    target = _evaluate(n, (e_letter, g_letter, (esym, -eexp)))
     if word.matrix() == target:
         return word, False
     repaired = search_congruence_word(target)

@@ -295,6 +295,18 @@ def test_induced_requires_exactly_one_source(write_matrix):
     )
 
 
+def test_induced_phase_ambiguity_is_verification_failure(capsys, monkeypatch, write_matrix):
+    import spheremat.spheres as spheres
+
+    def ambiguous(*args, **kwargs):
+        raise spheres.PhaseAmbiguityError("phase jump too close to pi")
+
+    monkeypatch.setattr(spheres, "induced_matrix_on_torus", ambiguous)
+    path = write_matrix([[2, 1], [1, 1]])
+    assert main(["induced", "--n", "2", "--matrix", path]) == 3
+    assert "verification failed: phase jump" in capsys.readouterr().err
+
+
 def test_hyperbolic(capsys, write_matrix):
     path = write_matrix([[1, 2], [2, 5]])
     code, payload = run_json(capsys, ["hyperbolic", path])

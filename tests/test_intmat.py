@@ -1,9 +1,15 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spheremat.intmat import (
     IntMatrix,
     MatrixFormatError,
+    ResidueMatrix,
+    _det_bareiss,
+    _det_cofactor,
     elementary_matrix,
     format_matrix,
     hyperbolic_check,
@@ -171,3 +177,123 @@ def test_tau_matrix_block_shape():
     )
     with pytest.raises(ValueError):
         tau_matrix(1)
+
+
+# ---------------------------------------------------------------------------
+# det and inverses against elimination over the rationals
+# ---------------------------------------------------------------------------
+
+def fraction_det_inverse(rows):
+    """Independent oracle: Gauss-Jordan over Fraction; (det, inverse or None)."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+         for r, row in enumerate(rows)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        p = a[k][k]
+        det *= p
+        a[k] = [x / p for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det, [row[n:] for row in a]
+
+
+_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**30) - 5, -(10**30) + 5),
+    st.integers(10**30 - 5, 10**30 + 5),
+    st.integers(-(10**31), 10**31),
+)
+
+
+@st.composite
+def integer_matrices(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows[0][0] = 0  # the first pivot needs a row swap
+    return rows
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Signed permutation matrix times row and column additions.
+
+    With `zero_pivot`, row 0 and column 0 are never the target of an
+    addition, so the (1,1) entry of a permutation moving 1 stays zero.
+    """
+    n = draw(st.integers(2, 6))
+    images = draw(st.permutations(range(n)))
+    zero_pivot = draw(st.booleans())
+    if zero_pivot and images[0] == 0:
+        images[0], images[1] = images[1], images[0]
+    rows = [[int(c == images[r]) for c in range(n)] for r in range(n)]
+    if draw(st.booleans()):
+        rows[n - 1] = [-x for x in rows[n - 1]]
+    steps = st.tuples(
+        st.booleans(),
+        st.integers(1 if zero_pivot else 0, n - 1),
+        st.integers(0, n - 1),
+        st.one_of(st.integers(-(10**15), 10**15), st.sampled_from([10**30, -(10**30)])),
+    )
+    for on_rows, dst, src, t in draw(st.lists(steps, max_size=12)):
+        if dst == src:
+            continue
+        if on_rows:
+            rows[dst] = [x + t * y for x, y in zip(rows[dst], rows[src])]
+        else:
+            for row in rows:
+                row[dst] += t * row[src]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_det_paths_match_fraction_elimination(rows):
+    want, _ = fraction_det_inverse(rows)
+    assert IntMatrix(rows).det() == want
+    assert _det_bareiss(rows) == want
+    if len(rows) <= 5:
+        assert _det_cofactor(rows) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(unimodular_matrices())
+def test_inverse_unimodular_matches_fraction_elimination(rows):
+    det, inv = fraction_det_inverse(rows)
+    assert det in (1, -1)
+    assert IntMatrix(rows).inverse_unimodular() == IntMatrix(inv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices())
+def test_inverse_unimodular_rejects_other_determinants(rows):
+    det, inv = fraction_det_inverse(rows)
+    if det in (1, -1):
+        assert IntMatrix(rows).inverse_unimodular() == IntMatrix(inv)
+    else:
+        with pytest.raises(ValueError, match=f"det={det}\\)"):
+            IntMatrix(rows).inverse_unimodular()
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices(max_n=5), st.integers(2, 40))
+def test_residue_inverse_matches_fraction_elimination(rows, m):
+    det, inv = fraction_det_inverse(rows)
+    r = ResidueMatrix(rows, m)
+    if math.gcd(int(det), m) != 1:
+        with pytest.raises(ValueError, match="not a unit"):
+            r.inverse()
+        return
+    # adj(A) = det(A) * inverse(A) is integral; inverse mod m = adj * det^-1
+    dinv = pow(int(det), -1, m)
+    want = [[int(det * x) * dinv for x in row] for row in inv]
+    assert r.inverse() == ResidueMatrix(want, m)

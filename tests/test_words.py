@@ -58,6 +58,10 @@ def test_symbol_matrix_range_errors():
         symbol_matrix(NEG, 3)
     with pytest.raises(ValueError):
         symbol_matrix(P(Permutation.identity(3)), 4)
+    with pytest.raises(ValueError, match="does not fit"):
+        symbol_matrix(JR(1, 4), 3)
+    with pytest.raises(ValueError, match="tau requires"):
+        GeneratorWord(1, ((TAU, -5),)).matrix()
 
 
 def test_odd_permutation_letters_rejected():
@@ -387,3 +391,94 @@ def test_sln_roundtrip_property(seed):
     n = rng.choice([2, 3, 4])
     a = random_sln(n, rng, min_letters=5, max_letters=25)
     assert decompose_sln(a).matrix() == a
+
+
+# ---------------------------------------------------------------------------
+# the column-operation evaluator against dense products
+# ---------------------------------------------------------------------------
+
+def _dense_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _dense_letter(sym, exp, n):
+    """Matrix of one letter raised to exp, built densely and independently."""
+    out = [[int(r == c) for c in range(n)] for r in range(n)]
+    if sym.kind == "E":
+        out[sym.i - 1][sym.j - 1] = exp  # (I + e_ij)^t = I + t e_ij as e_ij^2 = 0
+        return out
+    if sym.kind in ("J", "JR", "NEG"):
+        flips = {"J": (sym.i, sym.i + 1), "JR": (sym.i, sym.j), "NEG": (1, 2)}[sym.kind]
+        for f in flips:
+            out[f - 1][f - 1] = -1 if exp % 2 else 1
+        return out
+    if sym.kind == "TAU":
+        base = [[int(r == c) for c in range(n)] for r in range(n)]
+        base[0][:2], base[1][:2] = [0, -1], [1, 0]
+        count = exp % 4
+    else:
+        base = [[int(c + 1 == sym.sigma.images[r]) for c in range(n)] for r in range(n)]
+        count = exp % 60  # the order of a permutation of at most 6 points divides 60
+    for _ in range(count):
+        out = _dense_mul(out, base)
+    return out
+
+
+def _dense_word(word):
+    out = [[int(r == c) for c in range(word.n)] for r in range(word.n)]
+    for sym, exp in word.letters:
+        out = _dense_mul(out, _dense_letter(sym, exp, word.n))
+    return IntMatrix(out)
+
+
+_exponents = st.one_of(
+    st.integers(-5, 5), st.integers(-(10**20), 10**20)
+).filter(lambda e: e != 0)
+
+
+@st.composite
+def mixed_words(draw):
+    n = draw(st.integers(2, 6))
+    kinds = ["E", "J", "JR", "TAU", "P"] + (["NEG"] if n == 2 else [])
+    letters = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("E", "JR"):
+            i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            sym = E(i, j) if kind == "E" else JR(i, j)
+        elif kind == "J":
+            sym = J(draw(st.integers(1, n - 1)))
+        elif kind == "TAU":
+            sym = TAU
+        elif kind == "NEG":
+            sym = NEG
+        else:
+            images = draw(st.permutations(range(1, n + 1)))
+            if not Permutation(images).is_even:
+                images[0], images[1] = images[1], images[0]
+            sym = P(Permutation(images))
+        letters.append((sym, draw(_exponents)))
+    return GeneratorWord(n, tuple(letters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_words())
+def test_word_matrix_matches_dense_product(word):
+    assert word.matrix() == _dense_word(word)
+
+
+def test_word_matrix_all_letter_kinds_large_exponents():
+    cyc3 = Permutation.from_cycles(3, [(1, 2, 3)])
+    words = [
+        GeneratorWord(2, (
+            (E(1, 2), 10**25), (TAU, -7), (J(1), -3), (NEG, 5), (JR(2, 1), 2),
+            (P(Permutation.identity(2)), -9), (E(2, 1), -(10**18)), (TAU, 10**9 + 1),
+        )),
+        GeneratorWord(3, (
+            (P(cyc3), -(10**12) - 1), (E(3, 1), -4), (TAU, 3), (JR(1, 3), -1),
+            (E(1, 2), 7 * 10**22), (J(2), 10**15 + 1), (P(cyc3), 2),
+        )),
+    ]
+    for word in words:
+        assert word.matrix() == _dense_word(word)
+        assert word.matrix() * word.inverse().matrix() == IntMatrix.identity(word.n)
