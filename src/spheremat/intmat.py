@@ -39,6 +39,14 @@ class IntMatrix:
         self.rows = frozen
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap a nonempty square tuple of int tuples as is, without checks."""
+        self = object.__new__(cls)
+        self.n = len(rows)
+        self.rows = rows
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -52,9 +60,8 @@ class IntMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        n = self.n
         cols = tuple(zip(*other.rows))
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
         )
 
@@ -201,6 +208,16 @@ class ResidueMatrix:
         self.rows = tuple(tuple(x % m for x in row) for row in frozen)
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], m: int) -> "ResidueMatrix":
+        """Wrap a nonempty square tuple of int tuples, already reduced to
+        0..m-1, as is: no checks, no copy, so the row tuples stay shared."""
+        self = object.__new__(cls)
+        self.n = len(rows)
+        self.m = m
+        self.rows = rows
+        return self
+
+    @classmethod
     def identity(cls, n: int, m: int) -> "ResidueMatrix":
         return cls(IntMatrix.identity(n).rows, m)
 
@@ -216,9 +233,9 @@ class ResidueMatrix:
             return NotImplemented
         if self.n != other.n or self.m != other.m:
             raise ValueError("dimension or modulus mismatch")
-        n, m = self.n, self.m
+        m = self.m
         cols = tuple(zip(*other.rows))
-        return ResidueMatrix(
+        return ResidueMatrix._trusted(
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) % m for col in cols)
                 for row in self.rows

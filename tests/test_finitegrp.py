@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from collections import deque
 
 import pytest
@@ -18,7 +20,7 @@ from spheremat.finitegrp import (
     representative_matrix,
     sl_order,
 )
-from spheremat.intmat import IntMatrix, ResidueMatrix
+from spheremat.intmat import IntMatrix, ResidueMatrix, tau_matrix
 from spheremat.subgroups import in_W2
 
 
@@ -234,6 +236,161 @@ def test_normal_subgroups_class_guard():
     g = sl(2, 3)
     with pytest.raises(GroupSizeLimitError):
         normal_subgroups(g, max_classes=3)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against a naive BFS over dense products
+# ---------------------------------------------------------------------------
+
+def ident_rows(n):
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+def dense_mul(a, b, m):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n))
+        for i in range(n)
+    )
+
+
+def naive_closure(gens, n, m, cap):
+    """Rows of <gens>: in a finite group, closing under products makes inverses too."""
+    elems = {ident_rows(n)}
+    frontier = deque(elems)
+    while frontier:
+        x = frontier.popleft()
+        for g in gens:
+            y = dense_mul(x, g.rows, m)
+            if y not in elems:
+                elems.add(y)
+                if len(elems) > cap:
+                    return None
+                frontier.append(y)
+    return elems
+
+
+def naive_inverse(g, m):
+    """g^(k-1) for the order k of g."""
+    ident = ident_rows(len(g))
+    power = ident
+    while (following := dense_mul(power, g, m)) != ident:
+        power = following
+    return power
+
+
+def naive_classes(elems, m):
+    inverse = {g: naive_inverse(g, m) for g in elems}
+    return {frozenset(dense_mul(dense_mul(g, x, m), inverse[g], m) for g in elems) for x in elems}
+
+
+def naive_normal_subgroups(elems, classes, m):
+    ident_class = frozenset([ident_rows(len(next(iter(elems))))])
+    others = sorted(classes - {ident_class}, key=sorted)
+    found = set()
+    for chosen in itertools.product((False, True), repeat=len(others)):
+        union = ident_class.union(*(c for c, take in zip(others, chosen) if take))
+        if len(elems) % len(union) == 0 and all(
+            dense_mul(x, y, m) in union for x in union for y in union
+        ):
+            found.add(union)
+    return found
+
+
+def random_unit_matrix(rng, n, m, det_one=False):
+    while True:
+        rows = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
+        x = ResidueMatrix(rows, m)
+        d = x.det()
+        if math.gcd(d, m) == 1 and (d == 1 or not det_one):
+            return x
+
+
+def generator_sets(rng, n, m):
+    """Small generator lists: unit determinants other than 1, repeats, the identity."""
+    ident = ResidueMatrix.identity(n, m)
+    units = [d for d in range(1, m) if math.gcd(d, m) == 1]
+    diag = ResidueMatrix(
+        [[rng.choice(units) if r == c else 0 for c in range(n)] for r in range(n)], m
+    )
+    upper = ResidueMatrix(
+        [[1 if r == c else (rng.randrange(m) if c > r else 0) for c in range(n)] for r in range(n)], m
+    )
+    x = random_unit_matrix(rng, n, m)
+    yield [x]
+    yield [x, x, ident]
+    yield [diag, upper]
+    yield [random_unit_matrix(rng, n, m, det_one=True), diag]
+    yield [random_unit_matrix(rng, n, m), random_unit_matrix(rng, n, m)]
+
+
+def test_enumeration_classes_and_normal_subgroups_match_naive_bfs():
+    rng = random.Random(2718)
+    cap = 600
+    checked = {"elements": 0, "classes": 0, "normal": 0}
+    for n in (1, 2, 3):
+        for m in range(2, 13):
+            for gens in generator_sets(rng, n, m):
+                want = naive_closure(gens, n, m, cap)
+                if want is None:
+                    with pytest.raises(GroupSizeLimitError):
+                        enumerate_group(gens, n, m, max_size=cap)
+                    continue
+                table = enumerate_group(gens, n, m, max_size=cap)
+                assert {x.rows for x in table.elements} == want
+                assert table.generators == tuple(gens)
+                checked["elements"] += 1
+                if len(want) > 120:
+                    continue
+                classes = naive_classes(want, m)
+                got = conjugacy_classes(table)
+                assert {frozenset(x.rows for x in c) for c in got} == classes
+                assert [min(x.rows for x in c) for c in got] == sorted(min(c) for c in classes)
+                checked["classes"] += 1
+                if len(classes) > 12:
+                    continue
+                got = normal_subgroups(table)
+                assert {frozenset(x.rows for x in s.elements) for s in got} == (
+                    naive_normal_subgroups(want, classes, m)
+                )
+                checked["normal"] += 1
+    assert checked["elements"] >= 120
+    assert checked["classes"] >= 90
+    assert checked["normal"] >= 40
+
+
+def test_size_cap_counts_the_identity():
+    for gens, n, m in (
+        (elementary_generators_mod(2, 5), 2, 5),
+        ([ResidueMatrix([[3]], 7)], 1, 7),
+        ([ResidueMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 4)], 3, 4),
+    ):
+        order = enumerate_group(gens, n, m).order
+        with pytest.raises(GroupSizeLimitError):
+            enumerate_group(gens, n, m, max_size=order - 1)
+        assert enumerate_group(gens, n, m, max_size=order).order == order
+    assert enumerate_group([], 2, 5, max_size=0).order == 1
+
+
+def test_small_subgroup_of_a_huge_modulus():
+    """Memos grow with the rows met, not with the m^n vectors of Z_m^n."""
+    m = 10**9 + 7
+    tau = tau_matrix(3).reduce_mod(m)
+    start = time.monotonic()
+    table = enumerate_group([tau], 3, m)
+    classes = conjugacy_classes(table)
+    assert time.monotonic() - start < 1.0
+    assert table.order == 4
+    assert len(classes) == 4
+    assert {x for c in classes for x in c} == table.elements
+
+
+def test_sl3_z4_enumeration_budget():
+    start = time.monotonic()
+    table = sl(3, 4)
+    elapsed = time.monotonic() - start
+    assert table.order == sl_order(3, 4) == 43008
+    assert elapsed < 4.0
 
 
 # ---------------------------------------------------------------------------

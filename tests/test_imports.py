@@ -39,6 +39,27 @@ def test_exact_path_leaves_numpy_unloaded():
     assert '"member": true' in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, status, needle",
+    [
+        (["enumerate", "-n", "2", "-m", "5"], "", 0, '"order": 120'),
+        (["normality", "-n", "2", "-m", "4", "--power", "2"], "", 0, '"normal": true'),
+        (["normality", "-n", "2", "-m", "5", "--subgroup", "-"], "2\n1 1\n0 1\n", 1, '"normal": false'),
+    ],
+)
+def test_group_subcommands_leave_numpy_unloaded(argv, stdin, status, needle):
+    code = (
+        "import sys\n"
+        "import spheremat.cli\n"
+        f"code = spheremat.cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = run_python(code, stdin=stdin)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == f"{status} False"
+    assert needle in proc.stdout
+
+
 def test_numerical_names_resolve_lazily():
     from spheremat import PhaseAmbiguityError, psi_map, run_ledger
 

@@ -297,3 +297,31 @@ def test_residue_inverse_matches_fraction_elimination(rows, m):
     dinv = pow(int(det), -1, m)
     want = [[int(det * x) * dinv for x in row] for row in inv]
     assert r.inverse() == ResidueMatrix(want, m)
+
+
+def dense_product(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(1, 5))
+    square = st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs(), st.integers(2, 10**12))
+def test_products_equal_validated_construction(pair, m):
+    a, b = pair
+    got = IntMatrix(a) * IntMatrix(b)
+    want = IntMatrix(dense_product(a, b))
+    assert got == want and hash(got) == hash(want)
+    assert (got.n, got.rows) == (want.n, want.rows)
+    assert all(type(x) is int for row in got.rows for x in row)
+    got = ResidueMatrix(a, m) * ResidueMatrix(b, m)
+    want = ResidueMatrix(dense_product(a, b), m)
+    assert got == want and hash(got) == hash(want)
+    assert (got.n, got.m, got.rows) == (want.n, want.m, want.rows)
+    assert all(type(x) is int for row in got.rows for x in row)
