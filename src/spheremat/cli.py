@@ -4,8 +4,11 @@ One exit-code convention across all subcommands:
 
     0   success, or a positive verdict (member / normal / realizable)
     1   negative verdict (not a member, not normal, obstruction found)
-    2   input or usage error
+    2   input or usage error, or a resource limit (word length, memory)
     3   a verification step failed (signals a bug, not bad input)
+
+`main` maps the library's exceptions onto these codes, so no subcommand
+ends in a traceback.
 
 Matrices are read from files (or stdin with `-`) in a plain text format:
 the first line is n, followed by n rows of n integers. Output is JSON by
@@ -22,7 +25,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .intmat import (
     IntMatrix,
-    MatrixFormatError,
     ResidueMatrix,
     hyperbolic_check,
     parse_matrix,
@@ -190,43 +192,24 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     a = _read_matrix(args.matrix)
     target = args.target
     if target == "auto":
-        if a.n == 2 and in_congruence(a, 2):
-            target = "gamma2"
-        elif a.n >= 3 and in_congruence(a, 2):
-            target = "gamman"
-        else:
-            target = "sln"
-    if target == "gamma2":
-        if a.n != 2:
-            return _fail("gamma2 requires a 2x2 matrix")
-        if not in_congruence(a, 2):
-            _emit(
-                {"schema": SCHEMA, "command": "decompose", "member": False,
-                 "target": target, "reason": _membership_reason(a, 2)},
-                args.format,
-            )
-            return 1
-        word = decompose_gamma2(a)
-    elif target == "gamman":
-        if a.n < 3:
-            return _fail("gamman requires n >= 3 (use gamma2 in the plane)")
-        if not in_congruence(a, 2):
-            _emit(
-                {"schema": SCHEMA, "command": "decompose", "member": False,
-                 "target": target, "reason": _membership_reason(a, 2)},
-                args.format,
-            )
-            return 1
-        word = decompose_gamma_n(a)
-    else:
-        if a.det() != 1:
-            _emit(
-                {"schema": SCHEMA, "command": "decompose", "member": False,
-                 "target": "sln", "reason": f"determinant is {a.det()}, need 1"},
-                args.format,
-            )
-            return 1
-        word = decompose_sln(a)
+        target = "sln"
+        if a.n >= 2 and in_congruence(a, 2):
+            target = "gamma2" if a.n == 2 else "gamman"
+    if target == "gamma2" and a.n != 2:
+        return _fail("gamma2 requires a 2x2 matrix")
+    if target == "gamman" and a.n < 3:
+        return _fail("gamman requires n >= 3 (use gamma2 in the plane)")
+    if not (a.det() == 1 if target == "sln" else in_congruence(a, 2)):
+        _emit(
+            {"schema": SCHEMA, "command": "decompose", "member": False,
+             "target": target, "reason": _membership_reason(a, 2)},
+            args.format,
+        )
+        return 1
+    decompose = {
+        "gamma2": decompose_gamma2, "gamman": decompose_gamma_n, "sln": decompose_sln
+    }
+    word = decompose[target](a)
     verified = True if args.no_verify else word_to_matrix(word) == a
     payload = {
         "schema": SCHEMA,
@@ -250,11 +233,7 @@ def _membership_reason(a: IntMatrix, level: int) -> str:
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
-    try:
-        reports = rewrite_table_audit(args.n)
-    except (WordLengthError, AssertionError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 3
+    reports = rewrite_table_audit(args.n)
     entries = [
         {
             "family": r.family,
@@ -670,12 +649,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixFormatError, FileNotFoundError) as exc:
-        return _fail(str(exc))
     except GroupSizeLimitError as exc:
         return _fail(f"{exc} (raise --max-size if this is intentional)")
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, WordLengthError) as exc:
         return _fail(str(exc))
+    except MemoryError:
+        return _fail("out of memory")
+    except AssertionError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

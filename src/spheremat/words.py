@@ -29,6 +29,7 @@ verification status of all sixteen case families.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -83,6 +84,7 @@ class GeneratorSymbol:
         return base if exponent == 1 else f"{base}^{exponent}"
 
 
+@functools.lru_cache(maxsize=1024)  # the decompositions ask for each E(i,j) many times
 def E(i: int, j: int) -> GeneratorSymbol:
     return GeneratorSymbol("E", i, j)
 
@@ -223,9 +225,9 @@ def is_congruence_word(word: GeneratorWord) -> bool:
 class _Builder:
     """Accumulates letters, merging adjacent same-symbol runs and dropping zeros."""
 
-    def __init__(self, n: int, cap: int = WORD_LETTER_CAP):
+    def __init__(self, n: int, cap: Optional[int] = None):
         self.n = n
-        self.cap = cap
+        self.cap = WORD_LETTER_CAP if cap is None else cap  # looked up now, not at import
         self.letters: list[Letter] = []
 
     def push(self, sym: GeneratorSymbol, exp: int) -> None:
@@ -512,182 +514,109 @@ def _round_div(x: int, m: int) -> int:
     return q if m > 0 else -q
 
 
-def decompose_gamma2(a: IntMatrix) -> GeneratorWord:
-    """Write a level-2 congruence matrix of dimension 2 over {E^2, NEG}.
+def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
+    """Word for `a` from row elimination with multiples of `step` (2 or 1).
 
-    The descent right-multiplies by even elementary powers, shrinking the
-    larger diagonal entry each step (ties prefer the top-left entry). It
-    ends in a closed form once a diagonal entry hits +-1 or the matrix
-    turns triangular; the determinant guarantees one of the two reductions
-    is always available before that.
+    The row operations L_1 .. L_k satisfy L_k .. L_1 a = D with D diagonal,
+    so a = inv(L_1) .. inv(L_k) D and each inverse letter is pushed as soon
+    as its operation is made; the letter cap bounds the loop itself.
+
+    Below the diagonal, each iteration either subtracts the nearest multiple
+    of step*pivot from the entry or, when that multiple is zero, reduces the
+    pivot by the entry (a zero pivot, possible only with step 1, takes the
+    entry's row). With step 2 the diagonal stays odd and the off-diagonal
+    entries even, so every centered remainder is strict. Above the diagonal
+    the +-1 pivots clear each entry in one step. The -1 entries of D pair
+    up: as NEG at the front in dimension 2, as `jrange_expand` flips in
+    congruence words of dimension >= 3, and as a squared quarter turn in
+    elementary words.
     """
-    if a.n != 2:
-        raise ValueError("this decomposition is for 2x2 matrices")
-    if not in_congruence(a, 2):
-        raise NotInGroupError("matrix is not in the level-2 congruence subgroup")
-    m = [list(a.rows[0]), list(a.rows[1])]
-    ops: list[Letter] = []
-
-    def col_add(dst: int, src: int, t: int) -> None:
-        m[0][dst] += t * m[0][src]
-        m[1][dst] += t * m[1][src]
-
-    while (
-        abs(m[0][0]) != 1
-        and abs(m[1][1]) != 1
-        and m[0][1] != 0
-        and m[1][0] != 0
-    ):
-        p, b = m[0][0], m[0][1]
-        c, d = m[1][0], m[1][1]
-        can_a = abs(b) < abs(p)
-        can_d = abs(c) < abs(d)
-        use_a = can_a if abs(p) >= abs(d) else not can_d
-        if use_a:
-            t = -_round_div(p, 2 * b)
-            col_add(0, 1, 2 * t)
-            ops.append((E(2, 1), 2 * t))
-        else:
-            t = -_round_div(d, 2 * c)
-            col_add(1, 0, 2 * t)
-            ops.append((E(1, 2), 2 * t))
-
-    builder = _Builder(2)
-    builder.extend(_gamma2_terminal(m))
-    for sym, exp in reversed(ops):
-        builder.push(sym, -exp)
-    word = builder.word()
-    if word.matrix() != a:
-        raise AssertionError("dimension-2 decomposition failed re-multiplication")
-    return word
-
-
-def _gamma2_terminal(m: list[list[int]]) -> list[Letter]:
-    a, b = m[0]
-    c, d = m[1]
-    if b == 0 and c == 0:
-        return [] if a == 1 else [(NEG, 1)]
-    if c == 0:
-        if a == 1:
-            return [(E(1, 2), b)] if b else []
-        return [(NEG, 1), (E(1, 2), -b)]
-    if b == 0:
-        if a == 1:
-            return [(E(2, 1), c)] if c else []
-        return [(NEG, 1), (E(2, 1), -c)]
-    if a == 1:
-        return [(E(2, 1), c), (E(1, 2), b)]
-    if a == -1:
-        return [(NEG, 1)] + _gamma2_terminal([[-a, -b], [-c, -d]])
-    if d == 1:
-        return [(E(1, 2), b), (E(2, 1), c)]
-    if d == -1:
-        return [(NEG, 1)] + _gamma2_terminal([[-a, -b], [-c, -d]])
-    raise AssertionError("descent stopped in a non-terminal state")
-
-
-def decompose_gamma_n(a: IntMatrix) -> GeneratorWord:
-    """Write a level-2 congruence matrix (n >= 3) over {E^2, J}.
-
-    Row reduction with even multiples only: below the diagonal a two-row
-    alternation shrinks |pivot| and |entry| in turns until the entry dies
-    (parity makes every centered remainder strict), above the diagonal the
-    +-1 pivots clear entries in one step, and a trailing product of sign
-    pairs absorbs the -1 diagonal entries.
-    """
-    if a.n < 3:
-        raise ValueError("use decompose_gamma2 for dimension 2")
-    if not in_congruence(a, 2):
-        raise NotInGroupError("matrix is not in the level-2 congruence subgroup")
     n = a.n
     m = [list(row) for row in a.rows]
-    ops: list[tuple[int, int, int]] = []  # (dst_row, src_row, even multiple)
+    builder = _Builder(n)
 
     def row_add(dst: int, src: int, t: int) -> None:
-        mdst, msrc = m[dst], m[src]
-        for col in range(n):
-            mdst[col] += t * msrc[col]
-        ops.append((dst, src, t))
+        m[dst] = [d + t * s for d, s in zip(m[dst], m[src])]
+        builder.push(E(dst + 1, src + 1), -t)
 
     for c in range(n):
         for r in range(c + 1, n):
             while m[r][c] != 0:
-                s = -_round_div(m[r][c], 2 * m[c][c])
-                if s:
-                    row_add(r, c, 2 * s)
-                    if m[r][c] == 0:
-                        break
-                # now |m[r][c]| < |m[c][c]|, so the pivot reduction is strict
-                t = -_round_div(m[c][c], 2 * m[r][c])
-                row_add(c, r, 2 * t)
+                pivot = m[c][c]
+                if pivot == 0:
+                    row_add(c, r, 1)
+                    continue
+                q = _round_div(m[r][c], step * pivot)
+                if q:
+                    row_add(r, c, -step * q)
+                else:
+                    row_add(c, r, -step * _round_div(pivot, step * m[r][c]))
     for c in range(1, n):
         pivot = m[c][c]
         for r in range(c):
             e = m[r][c]
             if e:
-                row_add(r, c, -e * pivot)  # pivot is +-1 and e is even
-    # L_k .. L_1 A = D, so A = inv(L_1) .. inv(L_k) D: invert in forward order
-    builder = _Builder(n)
-    for dst, src, t in ops:
-        builder.push(E(dst + 1, src + 1), -t)
+                row_add(r, c, -e * pivot)  # pivot is +-1; e is even when step is 2
     negs = [i + 1 for i in range(n) if m[i][i] == -1]
     if len(negs) % 2:
         raise AssertionError("odd number of -1 pivots contradicts determinant 1")
-    for pos in range(0, len(negs), 2):
-        builder.extend(jrange_expand(negs[pos], negs[pos + 1], n).letters)
-    word = builder.word()
-    # re-multiplication is the contract: fail loudly rather than return junk
+    for i, k in zip(negs[::2], negs[1::2]):
+        if step == 1:
+            # a quarter turn in the (i,k) plane, squared, is the sign pair there
+            quarter = [(E(k, i), 1), (E(i, k), -1), (E(k, i), 1)]
+            builder.extend(quarter + quarter)
+        elif n == 2:
+            builder.letters.insert(0, (NEG, 1))  # central, so it may lead
+        else:
+            builder.extend(jrange_expand(i, k, n).letters)
+    return builder.word()
+
+
+def decompose_gamma2(a: IntMatrix) -> GeneratorWord:
+    """Write a level-2 congruence matrix of dimension 2 over {E^2, NEG}.
+
+    Row elimination with even multiples (see `_eliminate`); a -1 diagonal
+    left at the end becomes one NEG at the front of the word. The word is
+    verified by exact re-multiplication before it is returned.
+    """
+    if a.n != 2:
+        raise ValueError("this decomposition is for 2x2 matrices")
+    if not in_congruence(a, 2):
+        raise NotInGroupError("matrix is not in the level-2 congruence subgroup")
+    word = _eliminate(a, 2)
+    if word.matrix() != a:
+        raise AssertionError("dimension-2 decomposition failed re-multiplication")
+    return word
+
+
+def decompose_gamma_n(a: IntMatrix) -> GeneratorWord:
+    """Write a level-2 congruence matrix (n >= 3) over {E^2, J}.
+
+    Row elimination with even multiples (see `_eliminate`); pairs of -1
+    diagonal entries left at the end become products of consecutive J
+    flips. The word is verified by exact re-multiplication before it is
+    returned.
+    """
+    if a.n < 3:
+        raise ValueError("use decompose_gamma2 for dimension 2")
+    if not in_congruence(a, 2):
+        raise NotInGroupError("matrix is not in the level-2 congruence subgroup")
+    word = _eliminate(a, 2)
     if word.matrix() != a:
         raise AssertionError("congruence decomposition failed re-multiplication")
     return word
 
 
 def decompose_sln(a: IntMatrix) -> GeneratorWord:
-    """Write any determinant-one matrix as a product of elementary letters."""
+    """Write any determinant-one matrix as a product of elementary letters.
+
+    Row elimination with integer multiples (see `_eliminate`); pairs of -1
+    diagonal entries left at the end become squared quarter turns. The word
+    is verified by exact re-multiplication before it is returned.
+    """
     if a.det() != 1:
         raise NotInGroupError("matrix must have determinant 1")
-    n = a.n
-    if n == 1:
-        return GeneratorWord(1, ())
-    m = [list(row) for row in a.rows]
-    ops: list[tuple[int, int, int]] = []
-
-    def row_add(dst: int, src: int, t: int) -> None:
-        mdst, msrc = m[dst], m[src]
-        for col in range(n):
-            mdst[col] += t * msrc[col]
-        ops.append((dst, src, t))
-
-    for c in range(n):
-        for r in range(c + 1, n):
-            while m[r][c] != 0:
-                if m[c][c] == 0:
-                    row_add(c, r, 1)
-                    continue
-                q = _round_div(m[r][c], m[c][c])
-                if q == 0:
-                    q2 = _round_div(m[c][c], m[r][c])
-                    row_add(c, r, -q2)
-                else:
-                    row_add(r, c, -q)
-    for c in range(1, n):
-        pivot = m[c][c]
-        for r in range(c):
-            e = m[r][c]
-            if e:
-                row_add(r, c, -e * pivot)
-    builder = _Builder(n)
-    for dst, src, t in ops:
-        builder.push(E(dst + 1, src + 1), -t)
-    negs = [i + 1 for i in range(n) if m[i][i] == -1]
-    if len(negs) % 2:
-        raise AssertionError("odd number of -1 pivots contradicts determinant 1")
-    for pos in range(0, len(negs), 2):
-        i, k = negs[pos], negs[pos + 1]
-        # a quarter turn in the (i,k) plane, squared, is the sign pair there
-        quarter = [(E(k, i), 1), (E(i, k), -1), (E(k, i), 1)]
-        builder.extend(quarter + quarter)
-    word = builder.word()
+    word = _eliminate(a, 1)
     if word.matrix() != a:
         raise AssertionError("elementary decomposition failed re-multiplication")
     return word

@@ -141,6 +141,44 @@ def test_decompose_non_member(capsys, write_matrix):
     assert code == 1 and "determinant" in payload["reason"]
 
 
+def test_decompose_oversize_word_is_input_error(capsys, monkeypatch, write_matrix):
+    import spheremat.words as words
+
+    monkeypatch.setattr(words, "WORD_LETTER_CAP", 1000)
+    k = 10**4
+    path = write_matrix([[2 * k + 1, 2 * k], [2 * k + 2, 2 * k + 1]])
+    assert main(["decompose", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word exceeded 1000 letters\n"
+
+
+def test_decompose_out_of_memory_is_input_error(capsys, monkeypatch, write_matrix):
+    import spheremat.cli as cli
+
+    def exhausted(a):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "decompose_sln", exhausted)
+    path = write_matrix([[0, -1], [1, 0]])
+    assert main(["decompose", path]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_decompose_failed_check_is_verification_failure(capsys, monkeypatch, write_matrix):
+    import spheremat.words as words
+
+    wrong = lambda self: IntMatrix.identity(self.n)
+    monkeypatch.setattr(words.GeneratorWord, "matrix", wrong)
+    path = write_matrix([[3, 2], [4, 3]])
+    assert main(["decompose", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failed: dimension-2 decomposition failed re-multiplication\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # identities, obstructions
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from spheremat.intmat import IntMatrix, elementary_matrix
 from spheremat.permutation import Permutation
 from spheremat.subgroups import in_congruence, random_sln
+import spheremat.words as words_module
 from spheremat.words import (
     E,
     GeneratorWord,
@@ -391,6 +393,66 @@ def test_sln_roundtrip_property(seed):
     n = rng.choice([2, 3, 4])
     a = random_sln(n, rng, min_letters=5, max_letters=25)
     assert decompose_sln(a).matrix() == a
+
+
+# ---------------------------------------------------------------------------
+# the shared elimination engine: frozen words and the letter cap
+# ---------------------------------------------------------------------------
+
+def _frozen_cases():
+    """Seeded inputs with exponents up to +-1000.
+
+    gamma2 mixes in NEG, gamma_n (n = 3..8) J flips for -1 pairs, and sln
+    (n = 2..8) quarter turns for zero pivots and -1 pairs.
+    """
+    rng = random.Random(20261018)
+
+    def elementary(n, even):
+        i, j = rng.sample(range(1, n + 1), 2)
+        t = rng.choice([-1, 1]) * rng.randint(1, 500 if even else 1000)
+        return E(i, j), 2 * t if even else t
+
+    def matrix(n, extra, even):
+        letters = [
+            extra(n) if rng.random() < 0.3 else elementary(n, even)
+            for _ in range(rng.randint(1, 6))
+        ]
+        return GeneratorWord(n, tuple(letters)).matrix()
+
+    for _ in range(150):
+        yield decompose_gamma2, matrix(2, lambda n: (NEG, 1), True)
+    for n in range(3, 9):
+        for _ in range(40):
+            yield decompose_gamma_n, matrix(n, lambda n: (J(rng.randint(1, n - 1)), 1), True)
+    for n in range(2, 9):
+        for _ in range(40):
+            yield decompose_sln, matrix(n, lambda n: (TAU, rng.randint(1, 3)), False)
+
+
+def test_decomposition_words_are_frozen():
+    # digest of the 670 word strings as the separate per-decomposition
+    # eliminations wrote them; the shared engine must reproduce every byte
+    words = [word_to_str(decompose(a)) for decompose, a in _frozen_cases()]
+    assert len(words) == 670
+    digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
+    assert digest == "4c5fe5b3ffef5bff29ef46355027a0a0b96a307acbf06fc67be38d5e7df9d51a"
+
+
+def _slow_gamma2(k):
+    # even-quotient descent removes ~2 per step here: a word of ~2k letters
+    return IntMatrix([[2 * k + 1, 2 * k], [2 * k + 2, 2 * k + 1]])
+
+
+@pytest.mark.parametrize("k", [10**4, 10**30], ids=["k1e4", "k1e30"])
+def test_letter_cap_is_read_per_call_and_bounds_the_loop(monkeypatch, k):
+    # k = 10**30 stops only if the cap bounds the elimination loop itself;
+    # storing every step before checking the cap never ends there
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 1000)
+    with pytest.raises(WordLengthError, match="1000 letters"):
+        decompose_gamma2(_slow_gamma2(k))
+    monkeypatch.undo()
+    if k == 10**4:
+        assert len(decompose_gamma2(_slow_gamma2(k))) == 20001
 
 
 # ---------------------------------------------------------------------------
