@@ -9,88 +9,89 @@ and re-verified by multiplication before they are returned.
 
 import importlib
 
-from .intmat import (
-    IntMatrix,
-    MatrixFormatError,
-    ResidueMatrix,
-    elementary_matrix,
-    format_matrix,
-    hyperbolic_check,
-    parse_matrices,
-    parse_matrix,
-    tau_matrix,
-)
-from .permutation import Permutation
-from .subgroups import (
-    CosetCertificate,
-    K_CLASSES,
-    K_EVEN,
-    K_HOPF,
-    K_ODD,
-    MembershipCheck,
-    NotInGroupError,
-    coset_certificate,
-    count_hR_even,
-    hR_member,
-    in_W2,
-    in_congruence,
-    is_signed_permutation,
-    k_to_class,
-    mod2_class,
-    pre_dot,
-    random_sln,
-)
-from .words import (
-    E,
-    GeneratorSymbol,
-    GeneratorWord,
-    J,
-    JR,
-    NEG,
-    P,
-    TAU,
-    WordLengthError,
-    congruence_generators,
-    conjugate_rewrite,
-    decompose_gamma2,
-    decompose_gamma_n,
-    decompose_sln,
-    is_congruence_word,
-    jrange_expand,
-    parse_word,
-    random_congruence_word,
-    rewrite_table_audit,
-    search_congruence_word,
-    symbol_matrix,
-    word_to_matrix,
-    word_to_str,
-)
-from .obstruction import (
-    ObstructionReport,
-    ObstructionVerdict,
-    classify,
-    cross_consistency,
-    whitehead_coeffs,
-)
-from .finitegrp import (
-    FiniteGroupTable,
-    GroupSizeLimitError,
-    IndexCheckReport,
-    conjugacy_classes,
-    coset_representatives,
-    elementary_generators_mod,
-    enumerate_group,
-    find_normality_violation,
-    index_check,
-    is_normal,
-    normal_subgroups,
-    power_subgroup,
-    representative_matrix,
-    sl_order,
-)
-# The numerical modules need numpy; they load on first use (PEP 562), so
-# the exact core imports without it.
+# Every public name resolves on first use (PEP 562), so `import spheremat`
+# loads no submodule and each caller pays only for the layers it touches;
+# the numerical modules need numpy, the exact core does not.
 _LAZY = {
+    "intmat": (
+        "IntMatrix",
+        "MatrixFormatError",
+        "ResidueMatrix",
+        "elementary_matrix",
+        "format_matrix",
+        "hyperbolic_check",
+        "parse_matrices",
+        "parse_matrix",
+        "tau_matrix",
+    ),
+    "permutation": ("Permutation",),
+    "subgroups": (
+        "CosetCertificate",
+        "K_CLASSES",
+        "K_EVEN",
+        "K_HOPF",
+        "K_ODD",
+        "MembershipCheck",
+        "NotInGroupError",
+        "coset_certificate",
+        "count_hR_even",
+        "hR_member",
+        "in_W2",
+        "in_congruence",
+        "is_signed_permutation",
+        "k_to_class",
+        "mod2_class",
+        "pre_dot",
+        "random_sln",
+    ),
+    "words": (
+        "E",
+        "GeneratorSymbol",
+        "GeneratorWord",
+        "J",
+        "JR",
+        "NEG",
+        "P",
+        "TAU",
+        "WordLengthError",
+        "congruence_generators",
+        "conjugate_rewrite",
+        "decompose_gamma2",
+        "decompose_gamma_n",
+        "decompose_sln",
+        "is_congruence_word",
+        "jrange_expand",
+        "parse_word",
+        "random_congruence_word",
+        "rewrite_table_audit",
+        "search_congruence_word",
+        "symbol_matrix",
+        "word_to_matrix",
+        "word_to_str",
+    ),
+    "obstruction": (
+        "ObstructionReport",
+        "ObstructionVerdict",
+        "classify",
+        "cross_consistency",
+        "whitehead_coeffs",
+    ),
+    "finitegrp": (
+        "FiniteGroupTable",
+        "GroupSizeLimitError",
+        "IndexCheckReport",
+        "conjugacy_classes",
+        "coset_representatives",
+        "elementary_generators_mod",
+        "enumerate_group",
+        "find_normality_violation",
+        "index_check",
+        "is_normal",
+        "normal_subgroups",
+        "power_subgroup",
+        "representative_matrix",
+        "sl_order",
+    ),
     "spheres": (
         "AlgebraElement",
         "CollisionWitness",

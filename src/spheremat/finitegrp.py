@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .intmat import IntMatrix, ResidueMatrix, tau_matrix
+from ._record import record
+from .intmat import GroupSizeLimitError, IntMatrix, ResidueMatrix, tau_matrix
 from .permutation import Permutation
 from .subgroups import in_W2, mod2_class
 from .words import random_congruence_word
@@ -33,11 +33,7 @@ DEFAULT_MAX_SIZE = 10**7
 _Rows = tuple[tuple[int, ...], ...]
 
 
-class GroupSizeLimitError(RuntimeError):
-    """Enumeration exceeded the configured element cap."""
-
-
-@dataclass(frozen=True)
+@record
 class FiniteGroupTable:
     """A finite matrix group over Z_m held in memory.
 
@@ -273,7 +269,7 @@ def _sl_order_prime_power(n: int, p: int, e: int) -> int:
     return p ** ((e - 1) * (n * n - 1)) * over_field
 
 
-@dataclass(frozen=True)
+@record
 class IndexCheckReport:
     """Outcome of the coset bookkeeping check in one dimension."""
 

@@ -15,6 +15,17 @@ class MatrixFormatError(ValueError):
     """Raised when matrix text cannot be parsed."""
 
 
+# The two size guards' errors live here, in the module every CLI call
+# loads, so the CLI maps them to exit code 2 without importing the layers
+# that raise them; `words` and `finitegrp` re-export them.
+class WordLengthError(RuntimeError):
+    """Raised when a decomposition would exceed the letter cap."""
+
+
+class GroupSizeLimitError(RuntimeError):
+    """Enumeration exceeded the configured element cap."""
+
+
 def _freeze(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     out = []
     for row in rows:

@@ -11,11 +11,11 @@ a fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import record
 from .intmat import IntMatrix, elementary_matrix, tau_matrix
 from .permutation import Permutation
 from .subgroups import (
@@ -47,14 +47,14 @@ from .spheres import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class LedgerEntry:
     key: str
     claim: str
     check: Callable[[], tuple[bool, str]]
 
 
-@dataclass(frozen=True)
+@record
 class LedgerResult:
     key: str
     claim: str

@@ -14,13 +14,12 @@ on the sphere dimension k:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .intmat import IntMatrix
 from .subgroups import K_CLASSES, K_EVEN, K_HOPF, K_ODD, k_to_class
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionReport:
     """Expansion coefficients for one row pair (j, l), 1-based indices."""
 
@@ -61,7 +60,7 @@ def cross_consistency(a: IntMatrix, j: int, l: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionVerdict:
     k_class: str
     realizable: bool

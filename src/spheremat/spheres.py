@@ -25,13 +25,15 @@ accumulating phase along basis loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from ._record import record
 from .intmat import IntMatrix
-from .words import GeneratorWord
+
+if TYPE_CHECKING:
+    from .words import GeneratorWord
 
 UNIT_TOL = 1e-9
 
@@ -458,7 +460,7 @@ def compose_maps(*fns: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarr
 # the quaternion collision witness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CollisionWitness:
     matrix: IntMatrix
     first_input: tuple[AlgebraElement, AlgebraElement]

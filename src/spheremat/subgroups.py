@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import record
 from .intmat import IntMatrix, tau_matrix
 from .permutation import Permutation
 
@@ -76,7 +76,7 @@ def mod2_class(a: IntMatrix) -> Optional[Permutation]:
     return Permutation(images)
 
 
-@dataclass(frozen=True)
+@record
 class CosetCertificate:
     """Factorization a = (tau if uses_tau else I) * P_sigma * residual.
 
@@ -143,7 +143,7 @@ def is_signed_permutation(a: IntMatrix) -> bool:
     return len(used_cols) == n
 
 
-@dataclass(frozen=True)
+@record
 class MembershipCheck:
     member: bool
     reason: str

@@ -31,21 +31,17 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .intmat import IntMatrix
+from ._record import record
+from .intmat import IntMatrix, WordLengthError
 from .permutation import Permutation
 from .subgroups import NotInGroupError, in_congruence
 
 WORD_LETTER_CAP = 10**6
 
 
-class WordLengthError(RuntimeError):
-    """Raised when a decomposition would exceed the letter cap."""
-
-
-@dataclass(frozen=True)
+@record
 class GeneratorSymbol:
     """One alphabet letter; see the module docstring for the kinds."""
 
@@ -171,12 +167,12 @@ def symbol_matrix(sym: GeneratorSymbol, n: int) -> IntMatrix:
     return _evaluate(n, ((sym, 1),))
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorWord:
     """A word in dimension n; letters evaluate left to right."""
 
     n: int
-    letters: tuple[Letter, ...] = field(default_factory=tuple)
+    letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -438,7 +434,7 @@ def _j_case_index(i: int, j: int, k: int) -> int:
     return 3
 
 
-@dataclass(frozen=True)
+@record
 class RewriteCaseReport:
     family: str
     sign: int

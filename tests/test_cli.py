@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from spheremat.cli import main
+from spheremat.finitegrp import GroupSizeLimitError
 from spheremat.intmat import IntMatrix, format_matrix
+from spheremat.words import WordLengthError
 
 
 @pytest.fixture
@@ -154,15 +156,41 @@ def test_decompose_oversize_word_is_input_error(capsys, monkeypatch, write_matri
 
 
 def test_decompose_out_of_memory_is_input_error(capsys, monkeypatch, write_matrix):
-    import spheremat.cli as cli
+    import spheremat.words as words
 
     def exhausted(a):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "decompose_sln", exhausted)
+    # the CLI looks the decomposition up in `words` when the subcommand runs
+    monkeypatch.setattr(words, "decompose_sln", exhausted)
     path = write_matrix([[0, -1], [1, 0]])
     assert main(["decompose", path]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "rows, target",
+    [
+        ([[3, 2], [4, 3]], "gamma2"),
+        ([[1, 0, 2], [2, 1, 4], [0, 0, 1]], "gamman"),
+        ([[2, 1, 0], [1, 1, 0], [0, 0, 1]], "sln"),
+    ],
+)
+def test_decompose_evaluates_its_word_once(capsys, monkeypatch, write_matrix, rows, target):
+    import spheremat.words as words
+
+    evaluated = []
+    evaluate = words.GeneratorWord.matrix
+
+    def counted(self):
+        evaluated.append(str(self))
+        return evaluate(self)
+
+    monkeypatch.setattr(words.GeneratorWord, "matrix", counted)
+    code, payload = run_json(capsys, ["decompose", write_matrix(rows), "--target", target])
+    assert code == 0 and payload["verification"] == "OK"
+    # the library's re-multiplication is the only one
+    assert evaluated.count(payload["word"]) == 1
 
 
 def test_decompose_failed_check_is_verification_failure(capsys, monkeypatch, write_matrix):
@@ -359,6 +387,57 @@ def test_ledger_all_green(capsys):
     assert code == 0
     assert payload["all_ok"] is True
     assert len(payload["entries"]) == 10
+
+
+# Every subcommand keeps the exit-code contract when the layer it runs fails.
+# Each case patches one library function the subcommand looks up when it
+# runs; the CLI imports those layers lazily, so the patch must reach it.
+# "M" stands for a matrix file.
+FAULT_SITES = [
+    (["member", "M"], "spheremat.subgroups.in_W2"),
+    (["coset", "M"], "spheremat.subgroups.coset_certificate"),
+    (["obstruction", "M", "--k", "2"], "spheremat.obstruction.classify"),
+    (["hyperbolic", "M"], "spheremat.cli.hyperbolic_check"),
+    (["verify-identities"], "spheremat.words.rewrite_table_audit"),
+    (["enumerate", "-n", "2", "-m", "3"], "spheremat.finitegrp.enumerate_group"),
+    (["normality", "-n", "2", "-m", "3", "--power", "2"], "spheremat.finitegrp.enumerate_group"),
+    (["quat-witness"], "spheremat.spheres.quaternion_collision_witness"),
+    (["degree", "--k", "1", "--samples", "100"], "spheremat.spheres.degree_estimate_details"),
+    (["ledger"], "spheremat.ledger.run_ledger"),
+]
+
+FAULTS = [
+    pytest.param(MemoryError(), 2, "error: out of memory\n", id="memory"),
+    pytest.param(
+        AssertionError("injected check"), 3, "verification failed: injected check\n",
+        id="assertion",
+    ),
+    pytest.param(
+        GroupSizeLimitError("group exceeds 7 elements"),
+        2,
+        "error: group exceeds 7 elements (raise --max-size if this is intentional)\n",
+        id="group_size",
+    ),
+    pytest.param(
+        WordLengthError("word exceeded 9 letters"), 2, "error: word exceeded 9 letters\n",
+        id="word_length",
+    ),
+]
+
+
+@pytest.mark.parametrize("exc, status, stderr", FAULTS)
+@pytest.mark.parametrize("argv, site", FAULT_SITES, ids=[a[0] for a, _ in FAULT_SITES])
+def test_fault_maps_to_exit_code(capsys, monkeypatch, write_matrix, argv, site, exc, status, stderr):
+    def failing(*args, **kwargs):
+        raise exc
+
+    matrix = write_matrix([[3, 2], [4, 3]])
+    argv = [matrix if arg == "M" else arg for arg in argv]
+    monkeypatch.setattr(site, failing)
+    assert main(argv) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == stderr
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,89 @@ def run_python(code, stdin=""):
     )
 
 
+# sorted(dir(spheremat)) right after `import spheremat`, as it was when the
+# package imported its exact modules eagerly
+PACKAGE_DIR = [
+    "AlgebraElement", "CollisionWitness", "CosetCertificate", "E", "FiniteGroupTable",
+    "GeneratorSymbol", "GeneratorWord", "GroupSizeLimitError", "IndexCheckReport",
+    "IntMatrix", "J", "JR", "K_CLASSES", "K_EVEN", "K_HOPF", "K_ODD", "LedgerEntry",
+    "LedgerResult", "MatrixFormatError", "MembershipCheck", "NEG", "NotInGroupError",
+    "ObstructionReport", "ObstructionVerdict", "P", "Permutation",
+    "PhaseAmbiguityError", "ResidueMatrix", "TAU", "WordLengthError", "_LAZY",
+    "_LAZY_MODULE", "__builtins__", "__cached__", "__dir__", "__doc__", "__file__",
+    "__getattr__", "__loader__", "__name__", "__package__", "__path__", "__spec__",
+    "__version__", "all_entries", "antipodal_map", "classify", "complex_unit",
+    "compose_maps", "congruence_generators", "conjugacy_classes", "conjugate_rewrite",
+    "coset_certificate", "coset_representatives", "count_hR_even", "cross_consistency",
+    "decompose_gamma2", "decompose_gamma_n", "decompose_sln", "degree_estimate",
+    "degree_estimate_details", "elementary_generators_mod", "elementary_matrix",
+    "enumerate_group", "find_normality_violation", "finitegrp", "format_matrix",
+    "hR_member", "hyperbolic_check", "importlib", "in_W2", "in_congruence",
+    "index_check", "induced_matrix_on_torus", "intmat", "is_congruence_word",
+    "is_normal", "is_signed_permutation", "jrange_expand", "k_to_class", "ledger",
+    "mod2_class", "normal_subgroups", "obstruction", "octonion_unit", "p_a_eval",
+    "p_a_torus_map", "p_ij_eval", "p_word_torus_map", "parse_matrices", "parse_matrix",
+    "parse_word", "permutation", "power_subgroup", "pre_dot", "psi_eval", "psi_map",
+    "quaternion", "quaternion_collision_witness", "random_congruence_word",
+    "random_sln", "reflection_shear_torus_map", "representative_matrix",
+    "rewrite_table_audit", "run_ledger", "search_congruence_word", "sl_order",
+    "slot_conjugation_torus_map", "spheres", "subgroups", "symbol_matrix",
+    "tangent_frame", "tau_matrix", "uniform_sphere_samples", "whitehead_coeffs",
+    "word_to_matrix", "word_to_str", "words",
+]
+
+
+def test_import_loads_no_submodule():
+    code = (
+        "import sys\n"
+        "import spheremat\n"
+        "print(sorted(m for m in sys.modules if m.startswith('spheremat.')))\n"
+        "print(sorted(dir(spheremat)))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    loaded, names = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert names == repr(PACKAGE_DIR)
+
+
+UNIT_W2 = "2\n3 2\n4 3\n"
+EXACT_SKIPS = ["dataclasses", "spheremat.words", "spheremat.finitegrp", "numpy"]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        pytest.param(["member", "-"], EXACT_SKIPS, id="member"),
+        pytest.param(["coset", "-"], EXACT_SKIPS, id="coset"),
+        pytest.param(["obstruction", "-", "--k", "2"], EXACT_SKIPS, id="obstruction"),
+        pytest.param(["hyperbolic", "-"], EXACT_SKIPS, id="hyperbolic"),
+        pytest.param(
+            ["decompose", "-"],
+            ["dataclasses", "spheremat.finitegrp", "spheremat.obstruction", "numpy"],
+            id="decompose",
+        ),
+        # `spheres` names `GeneratorWord` in an annotation only
+        pytest.param(["quat-witness"], ["dataclasses", "spheremat.words"], id="quat-witness"),
+        pytest.param(
+            ["degree", "--k", "1", "--samples", "1000"],
+            ["dataclasses", "spheremat.words"],
+            id="degree",
+        ),
+    ],
+)
+def test_subcommand_loads_only_its_layers(argv, absent):
+    code = (
+        "import sys\n"
+        "import spheremat.cli\n"
+        f"spheremat.cli.main({argv!r})\n"
+        f"print([m for m in {absent!r} if m in sys.modules], file=sys.stderr)\n"
+    )
+    proc = run_python(code, stdin=UNIT_W2)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
 def test_exact_path_leaves_numpy_unloaded():
     code = (
         "import sys\n"

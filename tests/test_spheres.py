@@ -31,7 +31,7 @@ from spheremat.spheres import (
     uniform_sphere_samples,
 )
 from spheremat.subgroups import random_sln
-from spheremat.words import decompose_sln, symbol_matrix
+from spheremat.words import E, GeneratorWord, J, decompose_sln, symbol_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +379,12 @@ def test_induced_word_map():
     target = random_sln(2, rng, min_letters=4, max_letters=10)
     word = decompose_sln(target)
     assert induced_matrix_on_torus(p_word_torus_map(word), 2) == target
+
+
+def test_word_map_rejects_non_elementary_letters():
+    word = GeneratorWord(2, ((E(1, 2), 1), (J(1), 1)))
+    with pytest.raises(ValueError, match="elementary letters only"):
+        p_word_torus_map(word)
 
 
 def test_letterwise_composition_agrees_pointwise():
