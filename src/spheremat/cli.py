@@ -18,6 +18,7 @@ default (deterministic: sorted keys) or `--format text` for a flat dump.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -90,19 +91,6 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _w2_reason(a: IntMatrix) -> str:
-    from .subgroups import pre_dot
-
-    det = a.det()
-    if det != 1:
-        return f"determinant is {det}, need 1"
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            if any(v % 2 for v in pre_dot(a.rows[i], a.rows[j])):
-                return f"rows {i + 1} and {j + 1} have some odd componentwise product"
-    return "unit determinant, all distinct-row componentwise products even"
-
-
 def _resolve_k_class(args: argparse.Namespace) -> Optional[str]:
     from .subgroups import k_to_class
 
@@ -114,13 +102,15 @@ def _resolve_k_class(args: argparse.Namespace) -> Optional[str]:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    from .subgroups import hR_member, in_W2, in_congruence
+    from .subgroups import _w2_failure, hR_member, in_W2, in_congruence
 
     a = _read_matrix(args.matrix)
     payload: dict = {"schema": SCHEMA, "command": "member", "n": a.n, "group": args.group}
     if args.group == "w2":
         ok = in_W2(a)
-        payload["reason"] = _w2_reason(a)
+        payload["reason"] = _w2_failure(a) if not ok else (
+            "unit determinant, all distinct-row componentwise products even"
+        )
     elif args.group == "gamma":
         if args.mod < 2:
             return _fail("--mod must be at least 2")
@@ -172,7 +162,7 @@ def _cmd_coset(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    from .subgroups import in_congruence
+    from .subgroups import NotInGroupError, _congruence_failure, in_congruence
     from .words import decompose_gamma2, decompose_gamma_n, decompose_sln, word_to_str
 
     a = _read_matrix(args.matrix)
@@ -185,18 +175,19 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return _fail("gamma2 requires a 2x2 matrix")
     if target == "gamman" and a.n < 3:
         return _fail("gamman requires n >= 3 (use gamma2 in the plane)")
-    if not (a.det() == 1 if target == "sln" else in_congruence(a, 2)):
-        _emit(
-            {"schema": SCHEMA, "command": "decompose", "member": False,
-             "target": target, "reason": _membership_reason(a, 2)},
-            args.format,
-        )
-        return 1
     decompose = {
         "gamma2": decompose_gamma2, "gamman": decompose_gamma_n, "sln": decompose_sln
     }
-    # verified by re-multiplication; a failure raises AssertionError
-    word = decompose[target](a)
+    try:
+        # verified by re-multiplication; a failure raises AssertionError
+        word = decompose[target](a)
+    except NotInGroupError:
+        _emit(
+            {"schema": SCHEMA, "command": "decompose", "member": False,
+             "target": target, "reason": _congruence_failure(a, 2)},
+            args.format,
+        )
+        return 1
     payload = {
         "schema": SCHEMA,
         "command": "decompose",
@@ -210,27 +201,12 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _membership_reason(a: IntMatrix, level: int) -> str:
-    if a.det() != 1:
-        return f"determinant is {a.det()}, need 1"
-    return f"not congruent to the identity mod {level}"
-
-
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
     from .words import rewrite_table_audit
 
     reports = rewrite_table_audit(args.n)
-    entries = [
-        {
-            "family": r.family,
-            "generator_kind": r.generator_kind,
-            "sign": r.sign,
-            "condition": r.condition,
-            "instances": r.instances,
-            "status": r.status,
-        }
-        for r in reports
-    ]
+    fields = ("family", "generator_kind", "sign", "condition", "instances", "status")
+    entries = [{f: getattr(r, f) for f in fields} for r in reports]
     if args.format == "text":
         for r in reports:
             print(
@@ -263,21 +239,17 @@ def _cmd_obstruction(args: argparse.Namespace) -> int:
         "realizable": verdict.realizable,
         "violations": [[j, l, s] for (j, l), s in verdict.violations],
     }
-    if not args.no_verify:
-        for j in range(1, a.n + 1):
-            for l in range(j + 1, a.n + 1):
-                if not cross_consistency(a, j, l):
-                    print("cross-coefficient check failed", file=sys.stderr)
-                    return 3
+    pairs = list(itertools.combinations(range(1, a.n + 1), 2))
+    if not (args.no_verify or all(cross_consistency(a, j, l) for j, l in pairs)):
+        raise AssertionError("cross-coefficient check failed")
     if args.coefficients:
         coeffs = {}
-        for j in range(1, a.n + 1):
-            for l in range(j + 1, a.n + 1):
-                report = whitehead_coeffs(a, j, l)
-                coeffs[f"{j},{l}"] = {
-                    "cross": {f"{s},{t}": v for (s, t), v in sorted(report.cross.items())},
-                    "diag": list(report.diag),
-                }
+        for j, l in pairs:
+            report = whitehead_coeffs(a, j, l)
+            coeffs[f"{j},{l}"] = {
+                "cross": {f"{s},{t}": v for (s, t), v in sorted(report.cross.items())},
+                "diag": list(report.diag),
+            }
         payload["coefficients"] = coeffs
     _emit(payload, args.format)
     return 0 if verdict.realizable else 1
@@ -587,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--k-class", choices=k_class_choices, dest="k_class")
     p.add_argument("--coefficients", action="store_true", help="print all coefficients")
-    p.add_argument("--no-verify", action="store_true")
+    p.add_argument("--no-verify", action="store_true",
+                   help="skip the cross-coefficient check against 2x2 determinants")
     p.set_defaults(func=_cmd_obstruction)
 
     p = add("enumerate", "enumerate a matrix group over Z_m")

@@ -10,13 +10,17 @@ on the sphere dimension k:
 * k in {1, 3, 7}: the self-commutator is zero, no constraint;
 * other odd k:    it has order two, so every a_js a_ls must be even;
 * even k:         it has infinite order, so every a_js a_ls must vanish.
+
+`subgroups._row_pair_violations` is the one scan of this rule; `classify`
+lists its witnesses. For even k the verdict is `is_signed_permutation`.
 """
 
 from __future__ import annotations
 
 from ._record import record
 from .intmat import IntMatrix
-from .subgroups import K_CLASSES, K_EVEN, K_HOPF, K_ODD, k_to_class
+from .subgroups import K_CLASSES, K_EVEN, is_signed_permutation, k_to_class
+from .subgroups import _row_pair_violations
 
 
 @record
@@ -47,17 +51,12 @@ def whitehead_coeffs(a: IntMatrix, j: int, l: int) -> ObstructionReport:
 
 def cross_consistency(a: IntMatrix, j: int, l: int) -> bool:
     """Check the cross coefficients against independently computed 2x2 minors."""
-    report = whitehead_coeffs(a, j, l)
-    for (s, t), value in report.cross.items():
-        sub = IntMatrix(
-            (
-                (a.rows[j - 1][s - 1], a.rows[j - 1][t - 1]),
-                (a.rows[l - 1][s - 1], a.rows[l - 1][t - 1]),
-            )
-        )
-        if sub.det() != value:
-            return False
-    return True
+    cross = whitehead_coeffs(a, j, l).cross  # validates j and l
+    rj, rl = a.rows[j - 1], a.rows[l - 1]
+    return all(
+        IntMatrix(((rj[s - 1], rj[t - 1]), (rl[s - 1], rl[t - 1]))).det() == value
+        for (s, t), value in cross.items()
+    )
 
 
 @record
@@ -78,17 +77,10 @@ def classify(a: IntMatrix, k_class: str) -> ObstructionVerdict:
         raise ValueError(f"unknown k class {k_class!r}")
     if a.det() not in (1, -1):
         raise ValueError("matrix must be unimodular")
-    if k_class == K_HOPF:
+    if k_class == K_EVEN and is_signed_permutation(a):
         return ObstructionVerdict(k_class, True, ())
-    violations = []
-    for j in range(1, a.n + 1):
-        for l in range(j + 1, a.n + 1):
-            report = whitehead_coeffs(a, j, l)
-            for s, coeff in enumerate(report.diag, start=1):
-                if k_class == K_ODD and coeff % 2 != 0:
-                    violations.append(((j, l), s))
-                elif k_class == K_EVEN and coeff != 0:
-                    violations.append(((j, l), s))
+    # a list first: tuple(generator) reallocates as it grows, fragmenting the heap
+    violations = list(_row_pair_violations(a, k_class))
     return ObstructionVerdict(k_class, not violations, tuple(violations))
 
 

@@ -9,13 +9,19 @@ Three nested groups appear throughout:
   mod 2 to a permutation matrix);
 * GL_n(Z) filtered by which sphere dimension the matrix should be realized
   on (`hR_member`).
+
+Each verdict has one home. `_row_pair_violations` is the one scan of the
+commutator rule in `obstruction`: `_w2_failure` (hence `in_W2`), `hR_member`
+for odd k and `obstruction.classify` read it. `_congruence_failure` decides
+`in_congruence`. The two `_failure` helpers name the first failing witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._record import record
 from .intmat import IntMatrix, tau_matrix
@@ -38,13 +44,51 @@ def pre_dot(v: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(a) * int(b) for a, b in zip(v, w))
 
 
-def in_congruence(a: IntMatrix, m: int) -> bool:
-    """True iff det(a) == 1 and a reduces to the identity mod m."""
+def _congruence_failure(a: IntMatrix, m: int) -> Optional[str]:
+    """Why `in_congruence` fails (determinant first, then residue), or None."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    if a.det() != 1:
-        return False
-    return a.reduce_mod(m).is_identity()
+    det = a.det()
+    if det != 1:
+        return f"determinant is {det}, need 1"
+    if not a.reduce_mod(m).is_identity():
+        return f"not congruent to the identity mod {m}"
+    return None
+
+
+def in_congruence(a: IntMatrix, m: int) -> bool:
+    """True iff det(a) == 1 and a reduces to the identity mod m."""
+    return _congruence_failure(a, m) is None
+
+
+def _row_pair_violations(a: IntMatrix, k_class: str) -> Iterator[tuple[tuple[int, int], int]]:
+    """Lazily yield ((j, l), s), 1-based, for each a_js * a_ls that obstructs `a`.
+
+    The rule of `obstruction`: no constraint for k in {1, 3, 7}, an odd
+    coefficient for other odd k, a nonzero one for even k. Triples come
+    ordered by j < l, then s.
+    """
+    if k_class == K_HOPF:
+        return
+    # a product is odd (nonzero) iff both factors are: one column mask per row
+    odd = k_class == K_ODD
+    masks = [sum(1 << s for s, x in enumerate(row) if (x % 2 if odd else x)) for row in a.rows]
+    for j, l in itertools.combinations(range(a.n), 2):
+        both = masks[j] & masks[l]
+        if both:
+            for s in range(a.n):
+                if both >> s & 1:
+                    yield (j + 1, l + 1), s + 1
+
+
+def _w2_failure(a: IntMatrix) -> Optional[str]:
+    """Why `in_W2` fails (determinant first, then the first odd row pair), or None."""
+    det = a.det()
+    if det != 1:
+        return f"determinant is {det}, need 1"
+    for (j, l), _ in _row_pair_violations(a, K_ODD):
+        return f"rows {j} and {l} have some odd componentwise product"
+    return None
 
 
 def in_W2(a: IntMatrix) -> bool:
@@ -53,13 +97,7 @@ def in_W2(a: IntMatrix) -> bool:
     Determinant one plus the even-products condition is equivalent to
     reducing mod 2 to a permutation matrix.
     """
-    if a.det() != 1:
-        return False
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            if any(x % 2 for x in pre_dot(a.rows[i], a.rows[j])):
-                return False
-    return True
+    return _w2_failure(a) is None
 
 
 def mod2_class(a: IntMatrix) -> Optional[Permutation]:
@@ -114,15 +152,9 @@ def coset_certificate(a: IntMatrix) -> CosetCertificate:
     cls = mod2_class(a)
     assert cls is not None  # in_W2 guarantees a permutation class
     n = a.n
-    if cls.is_even:
-        uses_tau = False
-        sigma = cls
-        lead = IntMatrix.identity(n)
-    else:
-        uses_tau = True
-        swap = Permutation.transposition(n, 1, 2)
-        sigma = cls * swap
-        lead = tau_matrix(n)
+    uses_tau = not cls.is_even
+    sigma = cls * Permutation.transposition(n, 1, 2) if uses_tau else cls
+    lead = tau_matrix(n) if uses_tau else IntMatrix.identity(n)
     # both factors are orthogonal: P_sigma^-1 = P_sigma^T and tau^-1 = tau^T = tau^3
     residual = sigma.matrix().transpose() * lead.transpose() * a
     cert = CosetCertificate(uses_tau=uses_tau, sigma=sigma, residual=residual)
@@ -155,22 +187,21 @@ def hR_member(a: IntMatrix, k_class: str) -> MembershipCheck:
     The answer depends only on which of three classes k falls in:
     `hopf` (k in {1,3,7}), `odd_generic` (other odd k), `even`.
     """
-    det = a.det()
-    if k_class == K_HOPF:
-        if det in (1, -1):
-            return MembershipCheck(True, "determinant is +-1")
-        return MembershipCheck(False, f"determinant {det} is not +-1")
-    if k_class == K_ODD:
-        if det not in (1, -1):
-            return MembershipCheck(False, f"determinant {det} is not +-1")
-        if mod2_class(a) is None:
-            return MembershipCheck(False, "mod-2 reduction is not a permutation matrix")
-        return MembershipCheck(True, "unimodular and a permutation matrix mod 2")
     if k_class == K_EVEN:
         if is_signed_permutation(a):
             return MembershipCheck(True, "signed permutation matrix")
         return MembershipCheck(False, "not a signed permutation matrix")
-    raise ValueError(f"unknown k class {k_class!r}")
+    if k_class not in (K_HOPF, K_ODD):
+        raise ValueError(f"unknown k class {k_class!r}")
+    det = a.det()
+    if det not in (1, -1):
+        return MembershipCheck(False, f"determinant {det} is not +-1")
+    if k_class == K_HOPF:
+        return MembershipCheck(True, "determinant is +-1")
+    # with an odd determinant, no odd pair product means a permutation mod 2
+    if next(_row_pair_violations(a, K_ODD), None) is not None:
+        return MembershipCheck(False, "mod-2 reduction is not a permutation matrix")
+    return MembershipCheck(True, "unimodular and a permutation matrix mod 2")
 
 
 def k_to_class(k: int) -> str:

@@ -1,12 +1,21 @@
+import contextlib
+import hashlib
+import io
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spheremat.cli import main
 from spheremat.finitegrp import GroupSizeLimitError
-from spheremat.intmat import IntMatrix, format_matrix
+from spheremat.intmat import IntMatrix, elementary_matrix, format_matrix, tau_matrix
+from spheremat.obstruction import classify
 from spheremat.words import WordLengthError
 
 
@@ -207,6 +216,33 @@ def test_decompose_failed_check_is_verification_failure(capsys, monkeypatch, wri
     )
 
 
+@pytest.mark.parametrize(
+    "rows, target, most",
+    [
+        ([[3, 2], [4, 3]], "auto", 2),
+        ([[1, 0, 2], [2, 1, 4], [0, 0, 1]], "auto", 2),
+        ([[3, 2], [4, 3]], "gamma2", 1),
+        ([[1, 0, 2], [2, 1, 4], [0, 0, 1]], "gamman", 1),
+    ],
+    ids=["auto-n2", "auto-n3", "gamma2", "gamman"],
+)
+def test_decompose_tests_congruence_at_most(capsys, monkeypatch, write_matrix, rows, target, most):
+    # the auto choice and the decomposition's own guard; no separate CLI gate
+    import spheremat.subgroups as subgroups
+
+    calls = []
+    failure = subgroups._congruence_failure
+
+    def counted(a, m):
+        calls.append(m)
+        return failure(a, m)
+
+    monkeypatch.setattr(subgroups, "_congruence_failure", counted)
+    code, payload = run_json(capsys, ["decompose", write_matrix(rows), "--target", target])
+    assert code == 0 and payload["member"] is True
+    assert 1 <= len(calls) <= most
+
+
 # ---------------------------------------------------------------------------
 # identities, obstructions
 # ---------------------------------------------------------------------------
@@ -237,6 +273,24 @@ def test_obstruction_coefficients_payload(capsys, write_matrix):
     block = payload["coefficients"]["1,2"]
     assert block["diag"] == [0, 2]
     assert block["cross"]["1,2"] == 1
+
+
+@pytest.mark.parametrize("k_class, status", [("odd", 0), ("even", 1)])
+def test_obstruction_cross_check_failure_is_verification_failure(
+    capsys, monkeypatch, write_matrix, k_class, status
+):
+    import spheremat.obstruction as obstruction
+
+    monkeypatch.setattr(obstruction, "cross_consistency", lambda a, j, l: False)
+    path = write_matrix([[1, 2], [0, 1]])
+    assert main(["obstruction", path, "--k-class", k_class]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failed: cross-coefficient check failed\n"
+    # --no-verify skips the check, so the verdict sets the exit code
+    code, payload = run_json(capsys, ["obstruction", path, "--k-class", k_class, "--no-verify"])
+    assert code == status and payload["realizable"] is (status == 0)
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +492,140 @@ def test_fault_maps_to_exit_code(capsys, monkeypatch, write_matrix, argv, site, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == stderr
+
+
+# ---------------------------------------------------------------------------
+# frozen verdicts and their witnesses
+# ---------------------------------------------------------------------------
+
+def _verdict_matrices():
+    """Seeded matrices, n = 1..5, covering every verdict of the exact subcommands.
+
+    Per n: det-1 products (any residue), level-2, level-3 or -4 members,
+    tau times a level-2 member (odd mod-2 class), det -1, signed
+    permutations and raw integer matrices (mostly det not +-1).
+    """
+    rng = random.Random(20261019)
+
+    def product(n, level, letters):
+        a = IntMatrix.identity(n)
+        for _ in range(letters):
+            i, j = rng.sample(range(1, n + 1), 2)
+            a = a * elementary_matrix(n, i, j, level * rng.choice([-2, -1, 1, 2]))
+        return a
+
+    def signed_permutation(n):
+        rows = [[0] * n for _ in range(n)]
+        for r, c in enumerate(rng.sample(range(n), n)):
+            rows[r][c] = rng.choice([-1, 1])
+        return IntMatrix(rows)
+
+    yield IntMatrix([[1]])
+    yield IntMatrix([[-1]])
+    for n in range(2, 6):
+        flip = IntMatrix.diagonal([-1] + [1] * (n - 1))
+        for _ in range(2):
+            yield product(n, 1, rng.randint(2, 6))
+            yield product(n, 2, rng.randint(1, 4))
+            yield product(n, rng.choice([3, 4]), rng.randint(1, 3))
+            yield tau_matrix(n) * product(n, 2, rng.randint(1, 3))
+            yield flip * product(n, rng.choice([1, 2]), rng.randint(1, 4))
+            yield signed_permutation(n)
+            yield IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
+def _verdict_argvs(path):
+    yield ["member", path]
+    yield ["member", path, "--format", "text"]
+    for m in ("2", "3", "4"):
+        yield ["member", path, "--group", "gamma", "--mod", m]
+    for k_class in ("hopf", "odd", "even"):
+        yield ["member", path, "--group", "hr", "--k-class", k_class]
+    yield ["member", path, "--group", "hr", "--k-class", "odd", "--format", "text"]
+    yield ["coset", path]
+    yield ["coset", path, "--no-verify", "--format", "text"]
+    for target in ("auto", "gamma2", "gamman", "sln"):
+        yield ["decompose", path, "--target", target]
+    yield ["decompose", path, "--format", "text"]
+    for k_class in ("hopf", "odd", "even"):
+        yield ["obstruction", path, "--k-class", k_class]
+    yield ["obstruction", path, "--k-class", "even", "--coefficients"]
+    yield ["obstruction", path, "--k-class", "odd", "--coefficients", "--format", "text"]
+
+
+def test_cli_verdicts_are_frozen(capsys, write_matrix):
+    # digest of exit code, stdout and stderr of 1218 calls, reason strings
+    # included, as the CLI gave them before the verdicts shared one scan
+    records = []
+    codes = Counter()
+    for a in _verdict_matrices():
+        path = write_matrix(a.rows)
+        for argv in _verdict_argvs(path):
+            code = main(argv)
+            captured = capsys.readouterr()
+            codes[argv[0], code] += 1
+            records.append(f"{code}\n{captured.out}{captured.err}")
+    assert len(records) == 1218
+    # members, non-members and input errors all occur
+    assert all(codes[cmd, code] for cmd in ("member", "coset") for code in (0, 1))
+    assert all(codes[cmd, code] for cmd in ("decompose", "obstruction") for code in (0, 1, 2))
+    digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
+    assert digest == "c4ea13fc7b84965d63e026197ab8d7b97cb80b446df21b9dca29b1b24e96bfcf"
+
+
+def _run_stdin(argv, a):
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(format_matrix(a))), contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Raw integer matrices, or products of elementary letters (det 1) with an
+    optional sign flip (det -1), n = 2..5."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        entries = st.integers(-4, 4)
+        return IntMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+    a = IntMatrix.diagonal([draw(st.sampled_from([-1, 1]))] + [1] * (n - 1))
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.permutations(range(1, n + 1)))[:2]
+        a = a * elementary_matrix(n, i, j, draw(st.integers(-3, 3)))
+    return a
+
+
+def _brute_violations(a, k_class):
+    if k_class == "hopf":
+        return []
+    bad = (lambda c: c % 2) if k_class == "odd_generic" else (lambda c: c != 0)
+    return [
+        ((j + 1, l + 1), s + 1)
+        for j, l in combinations(range(a.n), 2)
+        for s in range(a.n)
+        if bad(a.rows[j][s] * a.rows[l][s])
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+def test_reasons_name_the_first_witness(a):
+    code, payload = _run_stdin(["member", "-"], a)
+    det = a.det()
+    odd_pairs = [pair for pair, _ in _brute_violations(a, "odd_generic")]
+    if det != 1:
+        assert code == 1 and payload["reason"] == f"determinant is {det}, need 1"
+    elif odd_pairs:
+        j, l = min(odd_pairs)
+        assert code == 1
+        assert payload["reason"] == f"rows {j} and {l} have some odd componentwise product"
+    else:
+        assert code == 0
+    if det in (1, -1):
+        for k_class in ("hopf", "odd_generic", "even"):
+            verdict = classify(a, k_class)
+            assert list(verdict.violations) == _brute_violations(a, k_class)
+            assert verdict.realizable == (not verdict.violations)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,11 @@ EXACT_SKIPS = ["dataclasses", "spheremat.words", "spheremat.finitegrp", "numpy"]
         pytest.param(["obstruction", "-", "--k", "2"], EXACT_SKIPS, id="obstruction"),
         pytest.param(["hyperbolic", "-"], EXACT_SKIPS, id="hyperbolic"),
         pytest.param(
+            ["verify-identities", "-n", "3"],
+            ["dataclasses", "spheremat.finitegrp", "spheremat.obstruction", "numpy"],
+            id="verify-identities",
+        ),
+        pytest.param(
             ["decompose", "-"],
             ["dataclasses", "spheremat.finitegrp", "spheremat.obstruction", "numpy"],
             id="decompose",
