@@ -28,6 +28,7 @@ from .intmat import (
     GroupSizeLimitError,
     IntMatrix,
     WordLengthError,
+    elementary_matrix,
     hyperbolic_check,
     parse_matrix,
     parse_matrices,
@@ -428,19 +429,11 @@ def _induced_map_and_expected(
 
         word = parse_word(args.word, args.n)
         return p_word_torus_map(word), word.matrix()
+    fn = reflection_shear_torus_map(args.n)  # rejects n < 2 before any matrix is built
+    shear = elementary_matrix(args.n, 1, 2, 2)
     if args.construction == "reflection-shear":
-        expected = [[1 if r == c else 0 for c in range(args.n)] for r in range(args.n)]
-        expected[0][0] = -1
-        expected[0][1] = 2
-        return reflection_shear_torus_map(args.n), IntMatrix(expected)
-    expected = [[1 if r == c else 0 for c in range(args.n)] for r in range(args.n)]
-    expected[0][1] = 2
-    return (
-        compose_maps(
-            reflection_shear_torus_map(args.n), slot_conjugation_torus_map(1, args.n)
-        ),
-        IntMatrix(expected),
-    )
+        return fn, shear * IntMatrix.diagonal([-1] + [1] * (args.n - 1))
+    return compose_maps(fn, slot_conjugation_torus_map(1, args.n)), shear
 
 
 def _cmd_induced(args: argparse.Namespace) -> int:

@@ -23,9 +23,10 @@ import random
 from typing import Optional, Sequence
 
 from ._record import record
-from .intmat import GroupSizeLimitError, IntMatrix, ResidueMatrix, tau_matrix
+from .intmat import GroupSizeLimitError, ResidueMatrix, elementary_matrix, tau_matrix
 from .permutation import Permutation
-from .subgroups import in_W2, mod2_class
+# coset_representatives and representative_matrix are re-exported from here
+from .subgroups import coset_representatives, in_W2, mod2_class, representative_matrix
 from .words import random_congruence_word
 
 DEFAULT_MAX_SIZE = 10**7
@@ -231,15 +232,12 @@ def _closed_under_product(rows: frozenset[_Rows], m: int) -> bool:
 
 def elementary_generators_mod(n: int, m: int) -> list[ResidueMatrix]:
     """All elementary matrices E(i,j) reduced mod m."""
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-            rows[i][j] = 1
-            gens.append(ResidueMatrix(rows, m))
-    return gens
+    return [
+        elementary_matrix(n, i, j).reduce_mod(m)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    ]
 
 
 def sl_order(n: int, m: int) -> int:
@@ -290,26 +288,6 @@ class IndexCheckReport:
             and self.mod2_images_distinct
             and self.samples_covered
         )
-
-
-def coset_representatives(n: int) -> list[tuple[bool, Permutation]]:
-    """One integer representative per mod-2 class: even sigmas plus tau-led ones."""
-    import itertools
-
-    reps = []
-    swap = Permutation.transposition(n, 1, 2) if n >= 2 else None
-    for images in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(images)
-        if sigma.is_even:
-            reps.append((False, sigma))
-        else:
-            reps.append((True, sigma * swap))
-    return reps
-
-
-def representative_matrix(uses_tau: bool, sigma: Permutation) -> IntMatrix:
-    lead = tau_matrix(sigma.n) if uses_tau else IntMatrix.identity(sigma.n)
-    return lead * sigma.matrix()
 
 
 def index_check(n: int, samples: int = 25, seed: int = 2024) -> IndexCheckReport:

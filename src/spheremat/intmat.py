@@ -34,6 +34,20 @@ def _freeze(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _square_and_multiply(base, exponent: int, one):
+    """base**exponent for exponent >= 0, multiplying onto `one` from the right.
+
+    Shared by the integer, residue and algebra-element powers.
+    """
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
+
+
 class IntMatrix:
     """Immutable square matrix over the integers."""
 
@@ -79,15 +93,7 @@ class IntMatrix:
     def __pow__(self, exponent: int) -> "IntMatrix":
         if exponent < 0:
             return self.inverse_unimodular() ** (-exponent)
-        result = IntMatrix.identity(self.n)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(self, exponent, IntMatrix.identity(self.n))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
@@ -265,15 +271,7 @@ class ResidueMatrix:
     def __pow__(self, exponent: int) -> "ResidueMatrix":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ResidueMatrix.identity(self.n, self.m)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(self, exponent, ResidueMatrix.identity(self.n, self.m))
 
     def is_identity(self) -> bool:
         return self.rows == ResidueMatrix.identity(self.n, self.m).rows

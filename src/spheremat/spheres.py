@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from ._record import record
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _square_and_multiply
 
 if TYPE_CHECKING:
     from .words import GeneratorWord
@@ -110,15 +110,7 @@ class AlgebraElement:
     def __pow__(self, exponent: int) -> "AlgebraElement":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = AlgebraElement.one(self.dimension)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(self, exponent, AlgebraElement.one(self.dimension))
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(-self.components)
@@ -302,6 +294,8 @@ def degree_estimate_details(
         raise ValueError("sphere dimension must be at least 1")
     if sample_count < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
+    if step == 0 or not math.isfinite(step):  # a negative step is a valid central difference
+        raise ValueError(f"finite-difference step must be nonzero and finite, got {step}")
     rng = np.random.default_rng(seed)
     y = uniform_sphere_samples(k, sample_count, rng)
     frames = tangent_frame(y)

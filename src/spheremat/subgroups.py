@@ -14,6 +14,8 @@ Each verdict has one home. `_row_pair_violations` is the one scan of the
 commutator rule in `obstruction`: `_w2_failure` (hence `in_W2`), `hR_member`
 for odd k and `obstruction.classify` read it. `_congruence_failure` decides
 `in_congruence`. The two `_failure` helpers name the first failing witness.
+`_class_representative` is the one coset-representative rule, read by
+`coset_certificate` and `coset_representatives`.
 """
 
 from __future__ import annotations
@@ -127,9 +129,7 @@ class CosetCertificate:
     residual: IntMatrix
 
     def reconstruct(self) -> IntMatrix:
-        n = self.sigma.n
-        lead = tau_matrix(n) if self.uses_tau else IntMatrix.identity(n)
-        return lead * self.sigma.matrix() * self.residual
+        return representative_matrix(self.uses_tau, self.sigma) * self.residual
 
     def verify(self, a: IntMatrix) -> bool:
         return (
@@ -137,6 +137,29 @@ class CosetCertificate:
             and in_congruence(self.residual, 2)
             and self.reconstruct() == a
         )
+
+
+def _class_representative(cls: Permutation) -> tuple[bool, Permutation]:
+    """(uses_tau, sigma) of the representative of the mod-2 class `cls`.
+
+    An even class c is represented by P_c, an odd one by tau * P_{c o (1 2)}.
+    """
+    if cls.is_even:
+        return False, cls
+    return True, cls * Permutation.transposition(cls.n, 1, 2)
+
+
+def coset_representatives(n: int) -> list[tuple[bool, Permutation]]:
+    """One integer representative per mod-2 class: even sigmas plus tau-led ones."""
+    return [
+        _class_representative(Permutation(images))
+        for images in itertools.permutations(range(1, n + 1))
+    ]
+
+
+def representative_matrix(uses_tau: bool, sigma: Permutation) -> IntMatrix:
+    lead = tau_matrix(sigma.n) if uses_tau else IntMatrix.identity(sigma.n)
+    return lead * sigma.matrix()
 
 
 def coset_certificate(a: IntMatrix) -> CosetCertificate:
@@ -151,12 +174,9 @@ def coset_certificate(a: IntMatrix) -> CosetCertificate:
         raise NotInGroupError("matrix is not in the even-products group")
     cls = mod2_class(a)
     assert cls is not None  # in_W2 guarantees a permutation class
-    n = a.n
-    uses_tau = not cls.is_even
-    sigma = cls * Permutation.transposition(n, 1, 2) if uses_tau else cls
-    lead = tau_matrix(n) if uses_tau else IntMatrix.identity(n)
-    # both factors are orthogonal: P_sigma^-1 = P_sigma^T and tau^-1 = tau^T = tau^3
-    residual = sigma.matrix().transpose() * lead.transpose() * a
+    uses_tau, sigma = _class_representative(cls)
+    # the representative is orthogonal: (tau P_sigma)^-1 = (tau P_sigma)^T
+    residual = representative_matrix(uses_tau, sigma).transpose() * a
     cert = CosetCertificate(uses_tau=uses_tau, sigma=sigma, residual=residual)
     if not cert.verify(a):
         raise AssertionError("coset certificate failed self-verification")

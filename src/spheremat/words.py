@@ -23,15 +23,17 @@ O(L*n) integer operations, whatever its exponents.
 The conjugation rewrite tables below (pushing an elementary letter across
 a congruence generator) are not taken on faith: every case is re-verified
 by exact multiplication on each call, and a bounded breadth-first search
-stands by to repair any case that fails. `rewrite_table_audit` reports the
-verification status of all sixteen case families.
+stands by to repair any case that fails. One function, `_table_rewrite`,
+decides each case's family and word; the family index is the position in
+`_CASE_FAMILIES`, and `rewrite_table_audit` reports the verification status
+of all sixteen families in that order.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ._record import record
 from .intmat import IntMatrix, WordLengthError
@@ -271,50 +273,58 @@ def jrange_expand(i: int, k: int, n: int) -> GeneratorWord:
 # conjugation rewrite tables
 # ---------------------------------------------------------------------------
 
-def _table_e_conj_e2(i: int, j: int, sign: int, k: int, l: int) -> list[Letter]:
-    """Word for E(i,j)^sign * E(k,l)^2 * E(i,j)^-sign from the case tables."""
-    if sign == 1:
-        if j != k and i != l:
-            return [(E(k, l), 2)]
-        if j != k and i == l:
-            return [(E(k, l), 2), (E(k, j), -2)]
-        if j == k and i != l:
-            return [(E(i, l), 2), (E(k, l), 2)]
-        return [(E(i, k), 2), (E(k, i), -2), (JR(i, k), 1)]
-    if j != k and i != l:
-        return [(E(k, l), 2)]
-    if j != k and i == l:
-        return [(E(k, l), 2), (E(k, j), 2)]
-    if j == k and i != l:
-        return [(E(i, l), -2), (E(k, l), 2)]
-    return [(JR(k, i), 1), (E(k, i), -2), (E(i, k), 2)]
+_E_CONDITIONS = ("j!=k, i!=l", "j!=k, i==l", "j==k, i!=l", "j==k, i==l")
+_J_CONDITIONS = (
+    "i,j outside block", "i inside, j outside", "i outside, j inside", "i,j inside block",
+)
+# (family, sign, generator kind, condition); a family's index is its position
+_CASE_FAMILIES = tuple(
+    (f"E.{mid}.E-1" if sign == 1 else f"E-1.{mid}.E", sign, kind, cond)
+    for kind, mid, conditions in (("E", "E2", _E_CONDITIONS), ("J", "J", _J_CONDITIONS))
+    for sign in (1, -1)
+    for cond in conditions
+)
 
 
-def _table_e_conj_j(i: int, j: int, sign: int, k: int) -> list[Letter]:
-    """Word for E(i,j)^sign * J(k) * E(i,j)^-sign from the case tables."""
-    block = (k, k + 1)
-    i_in, j_in = i in block, j in block
-    if i_in == j_in:
-        return [(J(k), 1)]
-    if sign == 1:
-        if i_in:
-            return [(J(k), 1), (E(i, j), -2)]
-        return [(E(i, j), 2), (J(k), 1)]
-    if i_in:
-        return [(E(i, j), -2), (J(k), 1)]
-    return [(J(k), 1), (E(i, j), 2)]
+def _table_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> tuple[int, list[Letter]]:
+    """Case family and table word for e * g * e^-1, before verification.
 
-
-def _expand_jr(letters: Sequence[Letter], n: int) -> list[Letter]:
-    out: list[Letter] = []
-    for sym, exp in letters:
-        if sym.kind == "JR":
-            expansion = jrange_expand(sym.i, sym.j, n).letters
-            for _ in range(abs(exp)):
-                out.extend(expansion)  # the sign pair is an involution
+    `e_letter` is E(i,j)^sign with sign +-1 and `g_letter` is E(k,l)^2 or
+    J(k). The family index is the position in `_CASE_FAMILIES`: 8 for a J
+    generator, plus 4 for sign -1, plus the condition, 2*(j==k) + (i==l)
+    for E(k,l)^2 and (i in block) + 2*(j in block) for the block {k, k+1}
+    of J(k). Only the family j==k, i==l needs a sign pair; it is written
+    out as consecutive J flips.
+    """
+    esym, sign = e_letter
+    gsym, gexp = g_letter
+    if esym.kind != "E" or sign not in (1, -1):
+        raise ValueError("conjugator must be an elementary letter with exponent +-1")
+    i, j = esym.i, esym.j
+    if gsym.kind == "E" and gexp == 2:
+        k, l = gsym.i, gsym.j
+        cond = 2 * (j == k) + (i == l)
+        if cond == 0:
+            letters = [(E(k, l), 2)]
+        elif cond == 1:
+            letters = [(E(k, l), 2), (E(k, j), -2 * sign)]
+        elif cond == 2:
+            letters = [(E(i, l), 2 * sign), (E(k, l), 2)]
+        elif sign == 1:
+            letters = [(E(i, k), 2), (E(k, i), -2), *jrange_expand(i, k, n).letters]
         else:
-            out.append((sym, exp))
-    return out
+            letters = [*jrange_expand(k, i, n).letters, (E(k, i), -2), (E(i, k), 2)]
+        return 4 * (sign == -1) + cond, letters
+    if gsym.kind == "J" and gexp == 1:
+        k = gsym.i
+        i_in, j_in = i in (k, k + 1), j in (k, k + 1)
+        if i_in == j_in:
+            letters = [(J(k), 1)]
+        else:
+            e2 = (E(i, j), -2 if i_in else 2)
+            letters = [(J(k), 1), e2] if i_in == (sign == 1) else [e2, (J(k), 1)]
+        return 8 + 4 * (sign == -1) + i_in + 2 * j_in, letters
+    raise ValueError("generator must be E(k,l)^2 or J(k)")
 
 
 def search_congruence_word(target: IntMatrix, max_letters: int = 3) -> Optional[GeneratorWord]:
@@ -355,30 +365,21 @@ def search_congruence_word(target: IntMatrix, max_letters: int = 3) -> Optional[
 
 def _conjugate_rewrite_checked(
     e_letter: Letter, g_letter: Letter, n: int
-) -> tuple[GeneratorWord, bool]:
-    """Rewrite word plus a flag telling whether the table entry needed repair."""
-    (esym, eexp) = e_letter
-    (gsym, gexp) = g_letter
-    if esym.kind != "E" or eexp not in (1, -1):
-        raise ValueError("conjugator must be an elementary letter with exponent +-1")
-    if gsym.kind == "E" and gexp == 2:
-        raw = _table_e_conj_e2(esym.i, esym.j, eexp, gsym.i, gsym.j)
-    elif gsym.kind == "J" and gexp == 1:
-        raw = _table_e_conj_j(esym.i, esym.j, eexp, gsym.i)
-    else:
-        raise ValueError("generator must be E(k,l)^2 or J(k)")
-    letters = _expand_jr(raw, n)
+) -> tuple[int, GeneratorWord, bool]:
+    """Case family, rewrite word, and whether the table entry needed repair."""
+    case, letters = _table_rewrite(e_letter, g_letter, n)
     word = GeneratorWord(n, tuple(letters))
+    (esym, eexp), (gsym, gexp) = e_letter, g_letter
     target = _evaluate(n, (e_letter, g_letter, (esym, -eexp)))
     if word.matrix() == target:
-        return word, False
+        return case, word, False
     repaired = search_congruence_word(target)
     if repaired is None:
         raise AssertionError(
             f"no short congruence word found for {esym.token(eexp)} "
             f"conj {gsym.token(gexp)}"
         )
-    return repaired, True
+    return case, repaired, True
 
 
 def conjugate_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> GeneratorWord:
@@ -388,50 +389,7 @@ def conjugate_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> GeneratorWo
     congruence generator, either (E(k,l), 2) or (J(k), 1). The returned word
     is verified by exact multiplication before being returned.
     """
-    word, _ = _conjugate_rewrite_checked(e_letter, g_letter, n)
-    return word
-
-
-_CASE_FAMILIES = (
-    ("E.E2.E-1", 1, "E", "j!=k, i!=l"),
-    ("E.E2.E-1", 1, "E", "j!=k, i==l"),
-    ("E.E2.E-1", 1, "E", "j==k, i!=l"),
-    ("E.E2.E-1", 1, "E", "j==k, i==l"),
-    ("E-1.E2.E", -1, "E", "j!=k, i!=l"),
-    ("E-1.E2.E", -1, "E", "j!=k, i==l"),
-    ("E-1.E2.E", -1, "E", "j==k, i!=l"),
-    ("E-1.E2.E", -1, "E", "j==k, i==l"),
-    ("E.J.E-1", 1, "J", "i,j outside block"),
-    ("E.J.E-1", 1, "J", "i inside, j outside"),
-    ("E.J.E-1", 1, "J", "i outside, j inside"),
-    ("E.J.E-1", 1, "J", "i,j inside block"),
-    ("E-1.J.E", -1, "J", "i,j outside block"),
-    ("E-1.J.E", -1, "J", "i inside, j outside"),
-    ("E-1.J.E", -1, "J", "i outside, j inside"),
-    ("E-1.J.E", -1, "J", "i,j inside block"),
-)
-
-
-def _e_case_index(i: int, j: int, k: int, l: int) -> int:
-    if j != k and i != l:
-        return 0
-    if j != k and i == l:
-        return 1
-    if j == k and i != l:
-        return 2
-    return 3
-
-
-def _j_case_index(i: int, j: int, k: int) -> int:
-    block = (k, k + 1)
-    i_in, j_in = i in block, j in block
-    if not i_in and not j_in:
-        return 0
-    if i_in and not j_in:
-        return 1
-    if not i_in and j_in:
-        return 2
-    return 3
+    return _conjugate_rewrite_checked(e_letter, g_letter, n)[1]
 
 
 @record
@@ -461,40 +419,25 @@ def rewrite_table_audit(n: int) -> list[RewriteCaseReport]:
         raise ValueError("the audit needs n >= 3 to populate the case families")
     counts = [0] * 16
     corrected: list[list[str]] = [[] for _ in range(16)]
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    for sign_pos, sign in ((0, 1), (4, -1)):
-        for (i, j) in pairs:
-            for (k, l) in pairs:
-                case = sign_pos + _e_case_index(i, j, k, l)
-                word, repaired = _conjugate_rewrite_checked(
-                    (E(i, j), sign), (E(k, l), 2), n
-                )
-                counts[case] += 1
-                if repaired:
-                    corrected[case].append(f"E({i},{j})^{sign} on E({k},{l})^2 -> {word}")
-    for sign_pos, sign in ((8, 1), (12, -1)):
-        for (i, j) in pairs:
-            for k in range(1, n):
-                case = sign_pos + _j_case_index(i, j, k)
-                word, repaired = _conjugate_rewrite_checked(
-                    (E(i, j), sign), (J(k), 1), n
-                )
-                counts[case] += 1
-                if repaired:
-                    corrected[case].append(f"E({i},{j})^{sign} on J({k}) -> {word}")
-    reports = []
-    for idx, (family, sign, gkind, cond) in enumerate(_CASE_FAMILIES):
-        reports.append(
-            RewriteCaseReport(
-                family=family,
-                sign=sign,
-                generator_kind=gkind,
-                condition=cond,
-                instances=counts[idx],
-                corrected=tuple(corrected[idx]),
-            )
-        )
-    return reports
+    gens = congruence_generators(n)  # the E(k,l)^2 letters, then the J(k)
+    for sign in (1, -1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                for gsym, gexp in gens:
+                    case, word, repaired = _conjugate_rewrite_checked(
+                        (E(i, j), sign), (gsym, gexp), n
+                    )
+                    counts[case] += 1
+                    if repaired:
+                        corrected[case].append(
+                            f"E({i},{j})^{sign} on {gsym.token(gexp)} -> {word}"
+                        )
+    return [
+        RewriteCaseReport(family, sign, gkind, cond, counts[idx], tuple(corrected[idx]))
+        for idx, (family, sign, gkind, cond) in enumerate(_CASE_FAMILIES)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from itertools import combinations
 from unittest import mock
@@ -378,6 +379,20 @@ def test_degree_power_map(capsys):
     assert main(["degree", "--k", "2", "--map", "power"]) == 2
 
 
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "-inf"])
+def test_degree_rejects_zero_or_nonfinite_step(capsys, step):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["degree", "--k", "1", "--samples", "1000", f"--step={step}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: finite-difference step must be nonzero and finite, got {float(step)}\n"
+    )
+    assert caught == []
+
+
 def test_induced_matrix_measurement(capsys, write_matrix):
     path = write_matrix([[2, 1], [1, 1]])
     code, payload = run_json(capsys, ["induced", "--n", "2", "--matrix", path])
@@ -413,6 +428,15 @@ def test_induced_requires_exactly_one_source(write_matrix):
               "--construction", "reflection-shear"])
         == 2
     )
+
+
+@pytest.mark.parametrize("construction", ["reflection-shear", "reflection-shear-conjugated"])
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_induced_construction_below_two_factors_is_input_error(capsys, n, construction):
+    assert main(["induced", "--n", n, "--construction", construction]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least two circle factors\n"
 
 
 def test_induced_phase_ambiguity_is_verification_failure(capsys, monkeypatch, write_matrix):

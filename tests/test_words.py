@@ -226,6 +226,59 @@ def test_rewrite_table_audit_rejects_small_n():
         rewrite_table_audit(2)
 
 
+def test_rewrite_tables_are_frozen():
+    # digest of the family index and word of every rewrite E(i,j)^+-1 across
+    # each E(k,l)^2 and J(k), and of every audit report, at n = 3..6, as the
+    # separate case tables and case-index functions gave them
+    parts = []
+    for n in range(3, 7):
+        for sign in (1, -1):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i == j:
+                        continue
+                    for g in congruence_generators(n):
+                        case, _ = words_module._table_rewrite((E(i, j), sign), g, n)
+                        parts.append(f"{case} {conjugate_rewrite((E(i, j), sign), g, n)}")
+        parts.extend(repr(report) for report in rewrite_table_audit(n))
+    assert len(parts) == 3580
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "fd3acc07f59121a82a39eae54b9cc6ee20b5bae111b75d18f13cc923c920956e"
+
+
+def test_wrong_table_entry_is_repaired_and_reported(monkeypatch):
+    # family 5 is E(i,j)^-1 across E(k,l)^2 with j != k, i == l; give it the
+    # sign +1 word, which is wrong there, and let the search repair it
+    table = words_module._table_rewrite
+
+    def broken(e_letter, g_letter, n):
+        case, letters = table(e_letter, g_letter, n)
+        if case == 5:
+            return case, table((e_letter[0], 1), g_letter, n)[1]
+        return case, letters
+
+    monkeypatch.setattr(words_module, "_table_rewrite", broken)
+    n = 3
+    reports = rewrite_table_audit(n)
+    assert [r.status == "VERIFIED" for r in reports] == [idx != 5 for idx in range(16)]
+    family = reports[5]
+    assert (family.sign, family.generator_kind, family.condition) == (-1, "E", "j!=k, i==l")
+    assert family.status == "CORRECTED(" + "; ".join(family.corrected) + ")"
+    assert len(family.corrected) == family.instances == 6
+    for entry in family.corrected:
+        head, word_text = entry.split(" -> ")
+        e_text, g_text = head.split(" on ")
+        e_word, g_word = parse_word(e_text, n), parse_word(g_text, n)
+        assert e_text.endswith("^-1") and g_text.endswith("^2")
+        repaired = parse_word(word_text, n)
+        assert is_congruence_word(repaired)
+        assert repaired.matrix() == (e_word.matrix() * g_word.matrix()
+                                     * e_word.inverse().matrix())
+    w = conjugate_rewrite((E(1, 2), -1), (E(3, 1), 2), n)
+    e_mat = symbol_matrix(E(1, 2), n)
+    assert w.matrix() == e_mat.inverse_unimodular() * symbol_matrix(E(3, 1), n) ** 2 * e_mat
+
+
 def test_search_congruence_word_finds_short_targets():
     target = elementary_matrix(3, 1, 2, 2)
     w = search_congruence_word(target)
