@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -595,6 +596,76 @@ def test_cli_verdicts_are_frozen(capsys, write_matrix):
     assert all(codes[cmd, code] for cmd in ("decompose", "obstruction") for code in (0, 1, 2))
     digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
     assert digest == "c4ea13fc7b84965d63e026197ab8d7b97cb80b446df21b9dca29b1b24e96bfcf"
+
+
+def _other_argvs(files):
+    """Calls of the remaining eight subcommands, over their flags and errors."""
+    yield from (["verify-identities", "-n", n] for n in ("2", "3", "4"))
+    yield ["enumerate", "-n", "2", "-m", "3"]
+    yield ["enumerate", "-n", "2", "-m", "2", "--list-elements"]
+    yield ["enumerate", "-n", "2", "-m", "3", "--generators", files["upper"]]
+    yield ["enumerate", "-n", "2", "-m", "5", "--max-size", "10"]
+    yield ["enumerate", "-n", "2", "-m", "1"]
+    yield ["normality", "-n", "2", "-m", "3", "--power", "2"]
+    yield ["normality", "-n", "2", "-m", "3", "--subgroup", files["upper"]]
+    yield ["normality", "-n", "2", "-m", "3"]
+    yield ["normality", "-n", "2", "-m", "3", "--power", "0"]
+    yield ["normality", "-n", "2", "-m", "3", "--generators", files["upper"],
+           "--subgroup", files["lower"]]
+    yield ["quat-witness"]
+    yield ["hyperbolic", files["cat"]]
+    yield ["hyperbolic", files["rot"]]
+    yield ["ledger"]
+    for map_name in ("identity", "antipodal", "psi", "power"):
+        yield ["degree", "--k", "1", "--map", map_name, "--power", "3", "--samples", "1000"]
+    yield ["degree", "--k", "2", "--map", "antipodal", "--samples", "1000", "--seed", "4"]
+    yield ["degree", "--k", "1", "--samples", "1000", "--step", "0"]
+    yield ["induced", "--n", "2", "--matrix", files["cat"], "--resolution", "256"]
+    yield ["induced", "--n", "2", "--word", "E(1,2)^2 E(2,1)^-3", "--resolution", "256"]
+    yield ["induced", "--n", "2", "--word", "E(1,2)^2 J(1)", "--resolution", "256"]
+    yield ["induced", "--n", "2", "--construction", "reflection-shear"]
+    yield ["induced", "--n", "3", "--construction", "reflection-shear-conjugated"]
+    yield ["induced", "--n", "3", "--matrix", files["cat"]]
+    # entry 65 is past resolution/4, so a phase jump lands near pi
+    yield ["induced", "--n", "2", "--matrix", files["shear"], "--resolution", "256"]
+
+
+_FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
+
+
+def _round_floats(text):
+    """Numpy floats to 9 significant digits; round-off below 1e-12 reads 0."""
+
+    def short(match):
+        x = float(match.group())
+        return "0" if abs(x) < 1e-12 else f"{x:.9g}"
+
+    return _FLOAT.sub(short, text)
+
+
+def test_other_subcommands_are_frozen(capsys, write_matrix):
+    # digest of exit code, stdout and stderr of 60 calls over the eight
+    # subcommands the verdict digest leaves out, as the CLI gave them when
+    # each handler still wrote its own output
+    files = {
+        "upper": write_matrix([[1, 1], [0, 1]]),
+        "lower": write_matrix([[1, 0], [1, 1]]),
+        "cat": write_matrix([[2, 1], [1, 1]]),
+        "rot": write_matrix([[0, -1], [1, 0]]),
+        "shear": write_matrix([[1, 65], [0, 1]]),
+    }
+    records = []
+    codes = Counter()
+    for argv in _other_argvs(files):
+        for fmt in ("json", "text"):
+            code = main(argv + ["--format", fmt])
+            captured = capsys.readouterr()
+            codes[argv[0], code] += 1
+            records.append(_round_floats(f"{code}\n{captured.out}{captured.err}"))
+    assert len(records) == 60
+    assert set(code for _, code in codes) == {0, 1, 2, 3}
+    digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
+    assert digest == "3a2718d3d9b1cae77557bda4c3b999dda5ae8e34580a1cc19ff8ca0864ebf9ef"
 
 
 def _run_stdin(argv, a):

@@ -286,6 +286,32 @@ def test_search_congruence_word_finds_short_targets():
     assert search_congruence_word(IntMatrix.identity(3)).letters == ()
 
 
+def _search_targets():
+    """Seeded targets at n = 3..5: congruence words of 0 to 6 letters, some
+    out of reach of a 3-letter search, and one non-congruence E(i,n)."""
+    rng = random.Random(20261020)
+    for n in (3, 4, 5):
+        gens = congruence_generators(n)
+        for length in (0, 1, 2, 3, 3, 4, 6):
+            letters = []
+            for _ in range(length):
+                sym, exp = rng.choice(gens)
+                letters.append((sym, rng.choice([exp, -exp])))
+            yield GeneratorWord(n, tuple(letters)).matrix()
+        yield elementary_matrix(n, rng.randint(1, n - 1), n, 1)
+
+
+def test_search_congruence_words_are_frozen():
+    # digest of the words (or None) found for 24 targets, 8 of them
+    # unreachable, as the search over dense matrix products gave them
+    found = [search_congruence_word(target) for target in _search_targets()]
+    assert len(found) == 24 and found.count(None) == 8
+    for target, word in zip(_search_targets(), found):
+        assert word is None or (is_congruence_word(word) and word.matrix() == target)
+    digest = hashlib.sha256("\n".join(map(str, found)).encode()).hexdigest()
+    assert digest == "51c0ff90ca168aa72b11cbf8d6014250dbb0be1b2b69594dfc4c921e34232e6c"
+
+
 # ---------------------------------------------------------------------------
 # decomposition: dimension 2
 # ---------------------------------------------------------------------------
