@@ -4,11 +4,15 @@ One exit-code convention across all subcommands:
 
     0   success, or a positive verdict (member / normal / realizable)
     1   negative verdict (not a member, not normal, obstruction found)
-    2   input or usage error, or a resource limit (word length, memory)
-    3   a verification step failed (signals a bug, not bad input)
+    2   input or usage error, a resource limit (word length, memory), or an
+        integer too large for the numerical tools
+    3   a verification step failed, or an internal error (a bug, not bad input)
 
-`main` maps the library's exceptions onto these codes, so no subcommand
-ends in a traceback.
+Each `_cmd_*` handler computes and returns `(status, payload)`, or
+`(status, payload, text_lines)` when it has its own text layout. It raises
+on bad input and writes nothing. `main` is the one output path: it adds the
+`schema` and `command` keys, writes JSON or text, and maps every exception
+onto these codes, so no subcommand ends in a traceback.
 
 Matrices are read from files (or stdin with `-`) in a plain text format:
 the first line is n, followed by n rows of n integers. Output is JSON by
@@ -47,14 +51,23 @@ if TYPE_CHECKING:
 SCHEMA = "spheremat/1"
 
 
+def _read_text(source: str) -> str:
+    return sys.stdin.read() if source == "-" else Path(source).read_text()
+
+
 def _read_matrix(source: str) -> IntMatrix:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text()
-    return parse_matrix(text)
+    return parse_matrix(_read_text(source))
 
 
-def _read_matrices(source: str) -> list[IntMatrix]:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text()
-    return parse_matrices(text)
+def _read_residues(
+    source: Optional[str], args: argparse.Namespace
+) -> list[ResidueMatrix]:
+    """The matrices in `source` mod `--mod`; all elementary ones if it is None."""
+    from .finitegrp import elementary_generators_mod
+
+    if source is None:
+        return elementary_generators_mod(args.n, args.mod)
+    return [a.reduce_mod(args.mod) for a in parse_matrices(_read_text(source))]
 
 
 def _rows(a) -> list[list[int]]:
@@ -80,13 +93,6 @@ def _render_text(payload: dict) -> list[str]:
     return lines
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print("\n".join(_render_text(payload)))
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -102,11 +108,11 @@ def _resolve_k_class(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _cmd_member(args: argparse.Namespace) -> int:
+def _cmd_member(args: argparse.Namespace) -> tuple:
     from .subgroups import _w2_failure, hR_member, in_W2, in_congruence
 
     a = _read_matrix(args.matrix)
-    payload: dict = {"schema": SCHEMA, "command": "member", "n": a.n, "group": args.group}
+    payload: dict = {"n": a.n, "group": args.group}
     if args.group == "w2":
         ok = in_W2(a)
         payload["reason"] = _w2_failure(a) if not ok else (
@@ -114,7 +120,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
         )
     elif args.group == "gamma":
         if args.mod < 2:
-            return _fail("--mod must be at least 2")
+            raise ValueError("--mod must be at least 2")
         ok = in_congruence(a, args.mod)
         payload["mod"] = args.mod
         payload["reason"] = (
@@ -125,17 +131,16 @@ def _cmd_member(args: argparse.Namespace) -> int:
     else:
         k_class = _resolve_k_class(args)
         if k_class is None:
-            return _fail("--group hr needs --k or --k-class")
+            raise ValueError("--group hr needs --k or --k-class")
         check = hR_member(a, k_class)
         ok = check.member
         payload["k_class"] = k_class
         payload["reason"] = check.reason
     payload["member"] = ok
-    _emit(payload, args.format)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload
 
 
-def _cmd_coset(args: argparse.Namespace) -> int:
+def _cmd_coset(args: argparse.Namespace) -> tuple:
     from .subgroups import NotInGroupError, coset_certificate
 
     a = _read_matrix(args.matrix)
@@ -143,14 +148,8 @@ def _cmd_coset(args: argparse.Namespace) -> int:
         # verified by re-multiplication; a failure raises AssertionError
         cert = coset_certificate(a)
     except NotInGroupError as exc:
-        _emit(
-            {"schema": SCHEMA, "command": "coset", "member": False, "reason": str(exc)},
-            args.format,
-        )
-        return 1
-    payload = {
-        "schema": SCHEMA,
-        "command": "coset",
+        return 1, {"member": False, "reason": str(exc)}
+    return 0, {
         "member": True,
         "uses_tau": cert.uses_tau,
         "sigma": list(cert.sigma.images),
@@ -158,11 +157,9 @@ def _cmd_coset(args: argparse.Namespace) -> int:
         "residual": _rows(cert.residual),
         "verification": "UNVERIFIED" if args.no_verify else "OK",
     }
-    _emit(payload, args.format)
-    return 0
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> tuple:
     from .subgroups import NotInGroupError, _congruence_failure, in_congruence
     from .words import decompose_gamma2, decompose_gamma_n, decompose_sln, word_to_str
 
@@ -173,9 +170,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         if a.n >= 2 and in_congruence(a, 2):
             target = "gamma2" if a.n == 2 else "gamman"
     if target == "gamma2" and a.n != 2:
-        return _fail("gamma2 requires a 2x2 matrix")
+        raise ValueError("gamma2 requires a 2x2 matrix")
     if target == "gamman" and a.n < 3:
-        return _fail("gamman requires n >= 3 (use gamma2 in the plane)")
+        raise ValueError("gamman requires n >= 3 (use gamma2 in the plane)")
     decompose = {
         "gamma2": decompose_gamma2, "gamman": decompose_gamma_n, "sln": decompose_sln
     }
@@ -183,58 +180,44 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         # verified by re-multiplication; a failure raises AssertionError
         word = decompose[target](a)
     except NotInGroupError:
-        _emit(
-            {"schema": SCHEMA, "command": "decompose", "member": False,
-             "target": target, "reason": _congruence_failure(a, 2)},
-            args.format,
-        )
-        return 1
-    payload = {
-        "schema": SCHEMA,
-        "command": "decompose",
+        reason = _congruence_failure(a, 2)
+        return 1, {"member": False, "target": target, "reason": reason}
+    return 0, {
         "member": True,
         "target": target,
         "letters": len(word.letters),
         "word": word_to_str(word),
         "verification": "UNVERIFIED" if args.no_verify else "OK",
     }
-    _emit(payload, args.format)
-    return 0
 
 
-def _cmd_verify_identities(args: argparse.Namespace) -> int:
+def _cmd_verify_identities(args: argparse.Namespace) -> tuple:
     from .words import rewrite_table_audit
 
     reports = rewrite_table_audit(args.n)
     fields = ("family", "generator_kind", "sign", "condition", "instances", "status")
-    entries = [{f: getattr(r, f) for f in fields} for r in reports]
-    if args.format == "text":
-        for r in reports:
-            print(
-                f"{r.status:>9}  {r.family:<10} {r.condition:<22} "
-                f"{r.instances:>4} instances"
-            )
-        print(f"audited {len(reports)} case families at n={args.n}")
-    else:
-        _emit(
-            {"schema": SCHEMA, "command": "verify-identities", "n": args.n,
-             "families": len(reports), "entries": entries},
-            "json",
-        )
-    return 0
+    payload = {
+        "n": args.n,
+        "families": len(reports),
+        "entries": [{f: getattr(r, f) for f in fields} for r in reports],
+    }
+    lines = [
+        f"{r.status:>9}  {r.family:<10} {r.condition:<22} {r.instances:>4} instances"
+        for r in reports
+    ]
+    lines.append(f"audited {len(reports)} case families at n={args.n}")
+    return 0, payload, lines
 
 
-def _cmd_obstruction(args: argparse.Namespace) -> int:
+def _cmd_obstruction(args: argparse.Namespace) -> tuple:
     from .obstruction import classify, cross_consistency, whitehead_coeffs
 
     a = _read_matrix(args.matrix)
     k_class = _resolve_k_class(args)
     if k_class is None:
-        return _fail("need --k or --k-class")
+        raise ValueError("need --k or --k-class")
     verdict = classify(a, k_class)
     payload = {
-        "schema": SCHEMA,
-        "command": "obstruction",
         "n": a.n,
         "k_class": k_class,
         "realizable": verdict.realizable,
@@ -252,68 +235,42 @@ def _cmd_obstruction(args: argparse.Namespace) -> int:
                 "diag": list(report.diag),
             }
         payload["coefficients"] = coeffs
-    _emit(payload, args.format)
-    return 0 if verdict.realizable else 1
+    return (0 if verdict.realizable else 1), payload
 
 
-def _load_residue_generators(
-    source: Optional[str], n: int, m: int
-) -> list[ResidueMatrix]:
-    from .finitegrp import elementary_generators_mod
-
-    if source is None:
-        return elementary_generators_mod(n, m)
-    return [a.reduce_mod(m) for a in _read_matrices(source)]
-
-
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple:
     from .finitegrp import enumerate_group, sl_order
 
-    gens = _load_residue_generators(args.generators, args.n, args.mod)
+    gens = _read_residues(args.generators, args)
     table = enumerate_group(gens, args.n, args.mod, max_size=args.max_size)
-    payload = {
-        "schema": SCHEMA,
-        "command": "enumerate",
-        "n": args.n,
-        "mod": args.mod,
-        "order": table.order,
-    }
+    payload = {"n": args.n, "mod": args.mod, "order": table.order}
     if args.generators is None:
         expected = sl_order(args.n, args.mod)
         payload["expected_order"] = expected
         payload["matches_formula"] = table.order == expected
     if args.list_elements:
         payload["elements"] = [_rows(x) for x in table.sorted_elements()]
-    _emit(payload, args.format)
-    if payload.get("matches_formula") is False:
-        return 3
-    return 0
+    return (3 if payload.get("matches_formula") is False else 0), payload
 
 
-def _cmd_normality(args: argparse.Namespace) -> int:
+def _cmd_normality(args: argparse.Namespace) -> tuple:
     from .finitegrp import enumerate_group, find_normality_violation, power_subgroup
 
     if args.subgroup is None and args.power is None:
-        return _fail("need --subgroup FILE, --power T, or both")
-    group_gens = _load_residue_generators(args.generators, args.n, args.mod)
+        raise ValueError("need --subgroup FILE, --power T, or both")
+    group_gens = _read_residues(args.generators, args)
     group = enumerate_group(group_gens, args.n, args.mod, max_size=args.max_size)
-    sub_gens = (
-        [a.reduce_mod(args.mod) for a in _read_matrices(args.subgroup)]
-        if args.subgroup
-        else group_gens
-    )
+    sub_gens = _read_residues(args.subgroup, args) if args.subgroup else group_gens
     if args.power is not None:
         if args.power < 1:
-            return _fail("--power must be positive")
+            raise ValueError("--power must be positive")
         sub = power_subgroup(group, sub_gens, args.power, max_size=args.max_size)
     else:
         sub = enumerate_group(sub_gens, args.n, args.mod, max_size=args.max_size)
         if not sub.elements <= group.elements:
-            return _fail("subgroup generators do not lie inside the group")
+            raise ValueError("subgroup generators do not lie inside the group")
     violation = find_normality_violation(sub, group)
     payload = {
-        "schema": SCHEMA,
-        "command": "normality",
         "n": args.n,
         "mod": args.mod,
         "group_order": group.order,
@@ -328,17 +285,14 @@ def _cmd_normality(args: argparse.Namespace) -> int:
             "element": _rows(h),
             "conjugate": _rows(g * h * g.inverse()),
         }
-    _emit(payload, args.format)
-    return 0 if violation is None else 1
+    return (0 if violation is None else 1), payload
 
 
-def _cmd_quat_witness(args: argparse.Namespace) -> int:
+def _cmd_quat_witness(args: argparse.Namespace) -> tuple:
     from .spheres import quaternion_collision_witness
 
     w = quaternion_collision_witness()
-    payload = {
-        "schema": SCHEMA,
-        "command": "quat-witness",
+    return (0 if w.confirmed else 3), {
         "matrix": _rows(w.matrix),
         "first_input": [x.components.tolist() for x in w.first_input],
         "second_input": [x.components.tolist() for x in w.second_input],
@@ -348,8 +302,6 @@ def _cmd_quat_witness(args: argparse.Namespace) -> int:
         "input_separation": w.input_separation,
         "confirmed": w.confirmed,
     }
-    _emit(payload, args.format)
-    return 0 if w.confirmed else 3
 
 
 def _degree_map(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
@@ -379,7 +331,7 @@ def _degree_map(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
     return power
 
 
-def _cmd_degree(args: argparse.Namespace) -> int:
+def _cmd_degree(args: argparse.Namespace) -> tuple:
     from .spheres import degree_estimate_details
 
     fn = _degree_map(args)
@@ -387,8 +339,6 @@ def _cmd_degree(args: argparse.Namespace) -> int:
         fn, args.k, sample_count=args.samples, seed=args.seed, step=args.step
     )
     payload = {
-        "schema": SCHEMA,
-        "command": "degree",
         "map": args.map,
         "k": args.k,
         "samples": args.samples,
@@ -399,8 +349,7 @@ def _cmd_degree(args: argparse.Namespace) -> int:
     }
     if args.map == "power":
         payload["power"] = args.power
-    _emit(payload, args.format)
-    return 0
+    return 0, payload
 
 
 def _induced_map_and_expected(
@@ -436,70 +385,44 @@ def _induced_map_and_expected(
     return compose_maps(fn, slot_conjugation_torus_map(1, args.n)), shear
 
 
-def _cmd_induced(args: argparse.Namespace) -> int:
+def _cmd_induced(args: argparse.Namespace) -> tuple:
     from .spheres import PhaseAmbiguityError, induced_matrix_on_torus
 
     fn, expected = _induced_map_and_expected(args)
     try:
         measured = induced_matrix_on_torus(fn, args.n, resolution=args.resolution)
-    except PhaseAmbiguityError as exc:  # a RuntimeError, which main does not map
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 3
-    payload = {
-        "schema": SCHEMA,
-        "command": "induced",
-        "n": args.n,
-        "resolution": args.resolution,
-        "measured": _rows(measured),
-    }
-    matches = None
-    if expected is not None:
-        matches = measured == expected
-        payload["expected"] = _rows(expected)
-        payload["matches"] = matches
-    _emit(payload, args.format)
-    return 0 if matches in (True, None) else 3
+    except PhaseAmbiguityError as exc:  # a RuntimeError: report it as a failed check
+        raise AssertionError(str(exc)) from exc
+    payload = {"n": args.n, "resolution": args.resolution, "measured": _rows(measured)}
+    if expected is None:
+        return 0, payload
+    payload["expected"] = _rows(expected)
+    payload["matches"] = measured == expected
+    return (0 if payload["matches"] else 3), payload
 
 
-def _cmd_ledger(args: argparse.Namespace) -> int:
+def _cmd_ledger(args: argparse.Namespace) -> tuple:
     from .ledger import run_ledger
 
     results = run_ledger()
-    if args.format == "text":
-        for r in results:
-            mark = "ok  " if r.ok else "FAIL"
-            print(f"{mark} {r.key}: {r.detail}")
-        bad = sum(1 for r in results if not r.ok)
-        print(f"{len(results) - bad}/{len(results)} identities verified")
-    else:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "command": "ledger",
-                "entries": [
-                    {"key": r.key, "claim": r.claim, "ok": r.ok, "detail": r.detail}
-                    for r in results
-                ],
-                "all_ok": all(r.ok for r in results),
-            },
-            "json",
-        )
-    return 0 if all(r.ok for r in results) else 3
+    all_ok = all(r.ok for r in results)
+    payload = {
+        "entries": [
+            {"key": r.key, "claim": r.claim, "ok": r.ok, "detail": r.detail}
+            for r in results
+        ],
+        "all_ok": all_ok,
+    }
+    lines = [f"{'ok  ' if r.ok else 'FAIL'} {r.key}: {r.detail}" for r in results]
+    verified = sum(1 for r in results if r.ok)
+    lines.append(f"{verified}/{len(results)} identities verified")
+    return (0 if all_ok else 3), payload, lines
 
 
-def _cmd_hyperbolic(args: argparse.Namespace) -> int:
+def _cmd_hyperbolic(args: argparse.Namespace) -> tuple:
     a = _read_matrix(args.matrix)
     result = hyperbolic_check(a)
-    _emit(
-        {
-            "schema": SCHEMA,
-            "command": "hyperbolic",
-            "trace": a.trace(),
-            "hyperbolic": result,
-        },
-        args.format,
-    )
-    return 0 if result else 1
+    return (0 if result else 1), {"trace": a.trace(), "hyperbolic": result}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,11 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--format", choices=["json", "text"], default="json", help="output format"
         )
+        p.set_defaults(func=handler)
         return p
 
     k_class_choices = ["hopf", "odd", "odd_generic", "even"]
@@ -522,61 +446,57 @@ def build_parser() -> argparse.ArgumentParser:
         "still runs)"
     )
 
-    p = add("member", "membership tests for an integer matrix")
+    p = add("member", "membership tests for an integer matrix", _cmd_member)
     p.add_argument("matrix", help="matrix file, or - for stdin")
     p.add_argument("--group", choices=["w2", "gamma", "hr"], default="w2")
     p.add_argument("--mod", type=int, default=2, help="level for --group gamma")
     p.add_argument("--k", type=int, help="sphere dimension (hr group)")
     p.add_argument("--k-class", choices=k_class_choices, dest="k_class")
-    p.set_defaults(func=_cmd_member)
 
-    p = add("coset", "coset certificate inside the even-products group")
+    p = add("coset", "coset certificate inside the even-products group", _cmd_coset)
     p.add_argument("matrix")
     p.add_argument("--no-verify", action="store_true", help=no_verify_help)
-    p.set_defaults(func=_cmd_coset)
 
-    p = add("decompose", "write a matrix as a word in the standard generators")
+    p = add("decompose", "write a matrix as a word in the standard generators",
+            _cmd_decompose)
     p.add_argument("matrix")
     p.add_argument(
         "--target", choices=["auto", "gamma2", "gamman", "sln"], default="auto"
     )
     p.add_argument("--no-verify", action="store_true", help=no_verify_help)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = add("verify-identities", "re-verify the conjugation rewrite tables")
+    p = add("verify-identities", "re-verify the conjugation rewrite tables",
+            _cmd_verify_identities)
     p.add_argument("-n", "--n", type=int, default=4, dest="n")
-    p.set_defaults(func=_cmd_verify_identities)
 
-    p = add("obstruction", "commutator obstruction verdict for a matrix")
+    p = add("obstruction", "commutator obstruction verdict for a matrix",
+            _cmd_obstruction)
     p.add_argument("matrix")
     p.add_argument("--k", type=int)
     p.add_argument("--k-class", choices=k_class_choices, dest="k_class")
     p.add_argument("--coefficients", action="store_true", help="print all coefficients")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the cross-coefficient check against 2x2 determinants")
-    p.set_defaults(func=_cmd_obstruction)
 
-    p = add("enumerate", "enumerate a matrix group over Z_m")
+    p = add("enumerate", "enumerate a matrix group over Z_m", _cmd_enumerate)
     p.add_argument("-n", "--n", type=int, required=True, dest="n")
     p.add_argument("-m", "--mod", type=int, required=True, dest="mod")
     p.add_argument("--generators", help="matrix list file (default: all elementary)")
     p.add_argument("--max-size", type=int, default=10**7)
     p.add_argument("--list-elements", action="store_true")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = add("normality", "check a subgroup for normality, with witness")
+    p = add("normality", "check a subgroup for normality, with witness", _cmd_normality)
     p.add_argument("-n", "--n", type=int, required=True, dest="n")
     p.add_argument("-m", "--mod", type=int, required=True, dest="mod")
     p.add_argument("--generators", help="group generators (default: all elementary)")
     p.add_argument("--subgroup", help="subgroup generators file")
     p.add_argument("--power", type=int, help="use t-th powers of the subgroup")
     p.add_argument("--max-size", type=int, default=10**7)
-    p.set_defaults(func=_cmd_normality)
 
-    p = add("quat-witness", "print the quaternion collision witness")
-    p.set_defaults(func=_cmd_quat_witness)
+    add("quat-witness", "print the quaternion collision witness", _cmd_quat_witness)
 
-    p = add("degree", "Monte Carlo mapping degree of a built-in sphere map")
+    p = add("degree", "Monte Carlo mapping degree of a built-in sphere map",
+            _cmd_degree)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--map",
@@ -587,9 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=1e-5)
-    p.set_defaults(func=_cmd_degree)
 
-    p = add("induced", "measure the homology matrix of a torus self-map")
+    p = add("induced", "measure the homology matrix of a torus self-map", _cmd_induced)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--resolution", type=int, default=1024)
     p.add_argument("--matrix", help="measure the monomial map of this matrix")
@@ -598,32 +517,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--construction",
         choices=["reflection-shear", "reflection-shear-conjugated"],
     )
-    p.set_defaults(func=_cmd_induced)
 
-    p = add("hyperbolic", "trace test for a 2x2 unit-determinant matrix")
+    p = add("hyperbolic", "trace test for a 2x2 unit-determinant matrix",
+            _cmd_hyperbolic)
     p.add_argument("matrix")
-    p.set_defaults(func=_cmd_hyperbolic)
 
-    p = add("ledger", "re-run every identity in the built-in ledger")
-    p.set_defaults(func=_cmd_ledger)
+    add("ledger", "re-run every identity in the built-in ledger", _cmd_ledger)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, payload, *text = args.func(args)
+        payload.update(schema=SCHEMA, command=args.command)
+        if args.format == "json":
+            out = json.dumps(payload, sort_keys=True, indent=2)
+        else:
+            out = "\n".join(text[0] if text else _render_text(payload))
     except GroupSizeLimitError as exc:
         return _fail(f"{exc} (raise --max-size if this is intentional)")
-    except (ValueError, FileNotFoundError, WordLengthError) as exc:
+    except (ValueError, FileNotFoundError, WordLengthError, OverflowError) as exc:
         return _fail(str(exc))
     except MemoryError:
         return _fail("out of memory")
     except AssertionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a bug: exit 3, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    print(out)
+    return status
 
 
 if __name__ == "__main__":

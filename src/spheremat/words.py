@@ -335,30 +335,33 @@ def search_congruence_word(target: IntMatrix, max_letters: int = 3) -> Optional[
     enough to be exhaustive for the short identities involved.
     """
     n = target.n
-    alphabet: list[tuple[Letter, IntMatrix]] = []
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            if p == q:
-                continue
-            for e in (2, -2):
-                alphabet.append(((E(p, q), e), symbol_matrix(E(p, q), n) ** e))
-    for r in range(1, n):
-        alphabet.append(((J(r), 1), symbol_matrix(J(r), n)))
-    ident = IntMatrix.identity(n)
-    if target == ident:
+    alphabet: list[Letter] = [
+        (E(p, q), e)
+        for p in range(1, n + 1)
+        for q in range(1, n + 1)
+        if p != q
+        for e in (2, -2)
+    ]
+    alphabet.extend((J(r), 1) for r in range(1, n))
+    goal = tuple(zip(*target.rows))
+    start = tuple(tuple(int(r == c) for r in range(n)) for c in range(n))
+    if start == goal:
         return GeneratorWord(n, ())
-    frontier: list[tuple[IntMatrix, tuple[Letter, ...]]] = [(ident, ())]
-    seen = {ident}
+    # states are column tuples, extended by one letter with the word evaluator
+    frontier: list[tuple[tuple, tuple[Letter, ...]]] = [(start, ())]
+    seen = {start}
     for _ in range(max_letters):
         nxt = []
-        for mat, letters in frontier:
-            for letter, lmat in alphabet:
-                prod = mat * lmat
-                if prod == target:
+        for cols, letters in frontier:
+            for letter in alphabet:
+                new = list(cols)
+                _apply_letters(new, (letter,), n)
+                key = tuple(map(tuple, new))
+                if key == goal:
                     return GeneratorWord(n, letters + (letter,))
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append((prod, letters + (letter,)))
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((key, letters + (letter,)))
         frontier = nxt
     return None
 

@@ -483,6 +483,8 @@ FAULT_SITES = [
     (["quat-witness"], "spheremat.spheres.quaternion_collision_witness"),
     (["degree", "--k", "1", "--samples", "100"], "spheremat.spheres.degree_estimate_details"),
     (["ledger"], "spheremat.ledger.run_ledger"),
+    (["decompose", "M", "--target", "sln"], "spheremat.words.decompose_sln"),
+    (["induced", "--n", "2", "--matrix", "M"], "spheremat.spheres.induced_matrix_on_torus"),
 ]
 
 FAULTS = [
@@ -501,6 +503,10 @@ FAULTS = [
         WordLengthError("word exceeded 9 letters"), 2, "error: word exceeded 9 letters\n",
         id="word_length",
     ),
+    pytest.param(
+        TypeError("injected bug"), 3, "internal error: TypeError: injected bug\n",
+        id="internal",
+    ),
 ]
 
 
@@ -517,6 +523,26 @@ def test_fault_maps_to_exit_code(capsys, monkeypatch, write_matrix, argv, site, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == stderr
+
+
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "--k", "1", "--samples", "1000", "--map", "power", "--power", HUGE],
+        ["induced", "--n", "2", "--word", f"E(1,2)^{HUGE}"],
+        ["induced", "--n", "2", "--matrix", "M"],
+    ],
+    ids=["degree-power", "induced-word", "induced-matrix"],
+)
+def test_integer_too_large_for_floats_is_input_error(capsys, write_matrix, argv):
+    matrix = write_matrix([[1, 10**400], [0, 1]])
+    assert main([matrix if arg == "M" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: int too large to convert to float\n"
 
 
 # ---------------------------------------------------------------------------
