@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .intmat import (
+    DEFAULT_MAX_SIZE,
     GroupSizeLimitError,
     IntMatrix,
     WordLengthError,
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n", type=int, required=True, dest="n")
     p.add_argument("-m", "--mod", type=int, required=True, dest="mod")
     p.add_argument("--generators", help="matrix list file (default: all elementary)")
-    p.add_argument("--max-size", type=int, default=10**7)
+    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
     p.add_argument("--list-elements", action="store_true")
 
     p = add("normality", "check a subgroup for normality, with witness", _cmd_normality)
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generators", help="group generators (default: all elementary)")
     p.add_argument("--subgroup", help="subgroup generators file")
     p.add_argument("--power", type=int, help="use t-th powers of the subgroup")
-    p.add_argument("--max-size", type=int, default=10**7)
+    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE)
 
     add("quat-witness", "print the quaternion collision witness", _cmd_quat_witness)
 

@@ -23,13 +23,17 @@ import random
 from typing import Optional, Sequence
 
 from ._record import record
-from .intmat import GroupSizeLimitError, ResidueMatrix, elementary_matrix, tau_matrix
+from .intmat import (
+    DEFAULT_MAX_SIZE,
+    GroupSizeLimitError,
+    ResidueMatrix,
+    elementary_matrix,
+    tau_matrix,
+)
 from .permutation import Permutation
 # coset_representatives and representative_matrix are re-exported from here
 from .subgroups import coset_representatives, in_W2, mod2_class, representative_matrix
 from .words import random_congruence_word
-
-DEFAULT_MAX_SIZE = 10**7
 
 _Rows = tuple[tuple[int, ...], ...]
 

@@ -8,6 +8,7 @@ Matrices are immutable (tuples of tuples) and hashable.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 
@@ -15,8 +16,9 @@ class MatrixFormatError(ValueError):
     """Raised when matrix text cannot be parsed."""
 
 
-# The two size guards' errors live here, in the module every CLI call
-# loads, so the CLI maps them to exit code 2 without importing the layers
+# The two size guards' errors, and the group-size cap's default, live here,
+# in the module every CLI call loads, so the CLI maps the errors to exit
+# code 2 and sets its `--max-size` defaults without importing the layers
 # that raise them; `words` and `finitegrp` re-export them.
 class WordLengthError(RuntimeError):
     """Raised when a decomposition would exceed the letter cap."""
@@ -26,12 +28,23 @@ class GroupSizeLimitError(RuntimeError):
     """Enumeration exceeded the configured element cap."""
 
 
-def _freeze(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in rows:
-        frozen = tuple(int(x) for x in row)
-        out.append(frozen)
-    return tuple(out)
+DEFAULT_MAX_SIZE = 10**7
+
+
+def _square_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Rows as a nonempty square tuple of tuples of plain ints.
+
+    Entries go through int(), so bools, integral Fractions and numpy
+    integers come out as Python ints.
+    """
+    frozen = tuple(tuple(map(int, row)) for row in rows)
+    n = len(frozen)
+    if n == 0:
+        raise ValueError("dimension must be at least 1")
+    for row in frozen:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+    return frozen
 
 
 def _square_and_multiply(base, exponent: int, one):
@@ -54,22 +67,8 @@ class IntMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        frozen = _freeze(rows)
-        n = len(frozen)
-        if n == 0:
-            raise ValueError("dimension must be at least 1")
-        if any(len(row) != n for row in frozen):
-            raise ValueError("matrix must be square")
-        self.n = n
-        self.rows = frozen
-
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """Wrap a nonempty square tuple of int tuples as is, without checks."""
-        self = object.__new__(cls)
-        self.n = len(rows)
-        self.rows = rows
-        return self
+        self.rows = _square_rows(rows)
+        self.n = len(self.rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -86,9 +85,7 @@ class IntMatrix:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         cols = tuple(zip(*other.rows))
-        return IntMatrix._trusted(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
-        )
+        return IntMatrix([[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows])
 
     def __pow__(self, exponent: int) -> "IntMatrix":
         if exponent < 0:
@@ -114,10 +111,13 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.rows)))
 
     def det(self) -> int:
-        """Exact determinant: cofactor expansion for n <= 4, Bareiss beyond."""
-        if self.n <= 4:
-            return _det_cofactor(self.rows)
-        return _det_bareiss(self.rows)
+        """Exact determinant: the 2x2 closed form for n = 2, fraction-free
+        Bareiss elimination for every other n (faster than cofactor
+        expansion from n = 3 on)."""
+        r = self.rows
+        if self.n == 2:
+            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
+        return _det_bareiss(r)
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a determinant +-1 matrix, re-verified by multiplication."""
@@ -130,26 +130,7 @@ class IntMatrix:
         return inv
 
     def reduce_mod(self, m: int) -> "ResidueMatrix":
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        return ResidueMatrix(tuple(tuple(x % m for x in row) for row in self.rows), m)
-
-
-def _det_cofactor(rows) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        a = rows[0][j]
-        if a == 0:
-            continue
-        minor = tuple(tuple(row[c] for c in range(n) if c != j) for row in rows[1:])
-        term = a * _det_cofactor(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+        return ResidueMatrix(self.rows, m)
 
 
 def _det_bareiss(rows) -> int:
@@ -214,20 +195,18 @@ class ResidueMatrix:
     def __init__(self, rows: Iterable[Iterable[int]], m: int):
         if m < 2:
             raise ValueError("modulus must be at least 2")
-        frozen = _freeze(rows)
-        n = len(frozen)
-        if n == 0:
-            raise ValueError("dimension must be at least 1")
-        if any(len(row) != n for row in frozen):
-            raise ValueError("matrix must be square")
-        self.n = n
+        self.rows = tuple(tuple(x % m for x in row) for row in _square_rows(rows))
+        self.n = len(self.rows)
         self.m = m
-        self.rows = tuple(tuple(x % m for x in row) for row in frozen)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...], m: int) -> "ResidueMatrix":
         """Wrap a nonempty square tuple of int tuples, already reduced to
-        0..m-1, as is: no checks, no copy, so the row tuples stay shared."""
+        0..m-1, as is: no checks, no copy, so the row tuples stay shared.
+
+        `finitegrp` keeps every group element as a tuple of row tuples shared
+        with other elements; copying them on the way out would undo that.
+        """
         self = object.__new__(cls)
         self.n = len(rows)
         self.m = m
@@ -336,7 +315,7 @@ def format_matrix(a: IntMatrix) -> str:
 def parse_matrix(text: str) -> IntMatrix:
     """Inverse of format_matrix; raises MatrixFormatError on malformed input."""
     mats, rest = _parse_matrix_block(text.splitlines())
-    if rest:
+    if any(line.strip() for line in rest):
         raise MatrixFormatError("trailing content after matrix block")
     return mats
 

@@ -10,6 +10,7 @@ a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable
 
@@ -116,12 +117,13 @@ def _check_gamma2_generators() -> tuple[bool, str]:
         elementary_matrix(2, 2, 1, 2),
         -IntMatrix.identity(2),
     ]
+    steps = gens + [g.inverse_unimodular() for g in gens]
     seen = {IntMatrix.identity(2)}
     frontier = [IntMatrix.identity(2)]
     for _ in range(3):
         nxt = []
         for m in frontier:
-            for g in gens + [g.inverse_unimodular() for g in gens]:
+            for g in steps:
                 prod = m * g
                 if prod not in seen:
                     seen.add(prod)
@@ -233,8 +235,7 @@ def _check_psi_circle() -> tuple[bool, str]:
 def _check_even_class_count() -> tuple[bool, str]:
     n = 3
     count = 0
-    perms = [Permutation(tuple(p)) for p in _all_perms(n)]
-    for perm in perms:
+    for perm in map(Permutation, itertools.permutations(range(1, n + 1))):
         base = perm.matrix()
         for mask in range(2**n):
             signs = [(-1 if mask >> t & 1 else 1) for t in range(n)]
@@ -244,12 +245,6 @@ def _check_even_class_count() -> tuple[bool, str]:
     if count != count_hR_even(n):
         return False, f"enumerated {count}, formula gives {count_hR_even(n)}"
     return True, f"signed permutations at n=3: {count} = 2^3 * 3!"
-
-
-def _all_perms(n: int) -> list[tuple[int, ...]]:
-    import itertools
-
-    return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
 def all_entries() -> tuple[LedgerEntry, ...]:

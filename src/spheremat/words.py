@@ -223,9 +223,9 @@ def is_congruence_word(word: GeneratorWord) -> bool:
 class _Builder:
     """Accumulates letters, merging adjacent same-symbol runs and dropping zeros."""
 
-    def __init__(self, n: int, cap: Optional[int] = None):
+    def __init__(self, n: int):
         self.n = n
-        self.cap = WORD_LETTER_CAP if cap is None else cap  # looked up now, not at import
+        self.cap = WORD_LETTER_CAP  # looked up now, not at import
         self.letters: list[Letter] = []
 
     def push(self, sym: GeneratorSymbol, exp: int) -> None:

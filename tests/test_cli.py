@@ -88,6 +88,15 @@ def test_member_reads_stdin(capsys, monkeypatch):
     assert code == 0 and payload["member"] is True
 
 
+def test_member_accepts_trailing_blank_lines(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("2\n1 0\n0 1\n\n \n"))
+    code, payload = run_json(capsys, ["member", "-"])
+    assert code == 0 and payload["member"] is True
+    monkeypatch.setattr("sys.stdin", io.StringIO("2\n1 0\n0 1\n\n7\n"))
+    assert main(["member", "-"]) == 2
+    assert capsys.readouterr().err == "error: trailing content after matrix block\n"
+
+
 # ---------------------------------------------------------------------------
 # coset certificates
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from spheremat.intmat import (
     MatrixFormatError,
     ResidueMatrix,
     _det_bareiss,
-    _det_cofactor,
     elementary_matrix,
     format_matrix,
     hyperbolic_check,
@@ -158,12 +157,46 @@ def test_parse_matrix_rejects_malformed():
         parse_matrix("1\n1\nextra")
 
 
+def test_parse_matrix_ignores_trailing_blank_lines():
+    want = IntMatrix.identity(2)
+    assert parse_matrix("2\n1 0\n0 1\n\n") == want
+    assert parse_matrix("\n2\n1 0\n\n0 1\n \n\t\n\n") == want
+    with pytest.raises(MatrixFormatError, match="trailing content after matrix block"):
+        parse_matrix("2\n1 0\n0 1\n\n7\n")
+
+
 def test_parse_matrices_multiple_blocks():
     text = "2\n1 2\n0 1\n\n2\n1 0\n2 1\n"
     mats = parse_matrices(text)
     assert len(mats) == 2
     assert mats[0] == elementary_matrix(2, 1, 2, 2)
     assert mats[1] == elementary_matrix(2, 2, 1, 2)
+
+
+def test_constructors_coerce_entries_to_int():
+    import numpy as np
+
+    rows = [[True, Fraction(6, 3)], [np.int64(-7), False]]
+    for got in (IntMatrix(rows), ResidueMatrix(rows, 5), IntMatrix(rows).reduce_mod(5)):
+        assert all(type(x) is int for row in got.rows for x in row)
+        assert all(type(row) is tuple for row in got.rows) and type(got.rows) is tuple
+    assert IntMatrix(rows).rows == ((1, 2), (-7, 0))
+    assert ResidueMatrix(rows, 5).rows == ((1, 2), (3, 0))
+
+
+def test_constructors_reject_bad_shapes_and_moduli():
+    for make in (IntMatrix, lambda rows: ResidueMatrix(rows, 3)):
+        for empty in ([], (), iter([])):
+            with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+                make(empty)
+        for ragged in ([[1, 0], [0]], [[1, 0]], [[1], [0]], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+            with pytest.raises(ValueError, match="^matrix must be square$"):
+                make(ragged)
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+            ResidueMatrix([[1]], m)
+        with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+            IntMatrix.identity(2).reduce_mod(m)
 
 
 def test_mul_dimension_mismatch():
@@ -261,8 +294,6 @@ def test_det_paths_match_fraction_elimination(rows):
     want, _ = fraction_det_inverse(rows)
     assert IntMatrix(rows).det() == want
     assert _det_bareiss(rows) == want
-    if len(rows) <= 5:
-        assert _det_cofactor(rows) == want
 
 
 @settings(max_examples=200, deadline=None)

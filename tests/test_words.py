@@ -125,13 +125,14 @@ def test_is_congruence_word():
     assert is_congruence_word(GeneratorWord(2, ((NEG, 1),)))
 
 
-def test_builder_merges_and_caps():
+def test_builder_merges_and_caps(monkeypatch):
     b = _Builder(2)
     b.push(E(1, 2), 2)
     b.push(E(1, 2), 2)
     b.push(E(1, 2), -4)
     assert b.word().letters == ()
-    small = _Builder(3, cap=2)
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 2)
+    small = _Builder(3)
     small.push(E(1, 2), 2)
     small.push(E(2, 1), 2)
     with pytest.raises(WordLengthError):
