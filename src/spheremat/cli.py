@@ -308,7 +308,7 @@ def _cmd_quat_witness(args: argparse.Namespace) -> tuple:
 def _degree_map(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
     import numpy as np
 
-    from .spheres import antipodal_map, psi_map
+    from .spheres import _require_float_range, antipodal_map, psi_map
 
     if args.map == "identity":
         return lambda pts: pts
@@ -323,6 +323,7 @@ def _degree_map(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
         raise ValueError("--map power needs --k 1")
 
     r = args.power
+    _require_float_range(r, "--power")
 
     def power(pts: np.ndarray) -> np.ndarray:
         z = pts[:, 0] + 1j * pts[:, 1]

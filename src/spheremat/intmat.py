@@ -28,6 +28,10 @@ class GroupSizeLimitError(RuntimeError):
     """Enumeration exceeded the configured element cap."""
 
 
+# What the cap allows, from `enumerate_group` on SL_3(Z_4) (order 43 008) and
+# SL_3(Z_5) (order 372 000), Python 3.11 on a shared 2-vCPU VM: 1.5-3.0 and
+# 2.6-4.2 us per element; ~170 B per element kept (tracemalloc), ~240 B at the
+# peak, 240-290 B of peak RSS. So 10^7 elements take about 30-40 s and 3 GB.
 DEFAULT_MAX_SIZE = 10**7
 
 
@@ -35,9 +39,18 @@ def _square_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """Rows as a nonempty square tuple of tuples of plain ints.
 
     Entries go through int(), so bools, integral Fractions and numpy
-    integers come out as Python ints.
+    integers come out as Python ints; an entry that int() would change, such
+    as 3/2 or 1.9, raises instead of being truncated.
     """
-    frozen = tuple(tuple(map(int, row)) for row in rows)
+    frozen = []
+    for row in rows:
+        row = tuple(row)  # a row may be a generator: read it once
+        ints = tuple(map(int, row))
+        if ints != row:
+            bad = next(x for x, i in zip(row, ints) if x != i)
+            raise ValueError(f"matrix entry {bad!r} is not an integer")
+        frozen.append(ints)
+    frozen = tuple(frozen)
     n = len(frozen)
     if n == 0:
         raise ValueError("dimension must be at least 1")

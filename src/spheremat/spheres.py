@@ -367,8 +367,20 @@ def induced_matrix_on_torus(
     return IntMatrix(rows)
 
 
+def _require_float_range(value: int, what: str, *where: object) -> None:
+    """Raise a ValueError naming `what.format(*where)` if numpy cannot take
+    `value` as a float; the name is formatted only then."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{what.format(*where)} is too large for floating point") from None
+
+
 def p_a_torus_map(a: IntMatrix) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized complex twin of p_a_eval, for winding measurements."""
+    for r, row in enumerate(a.rows, 1):
+        for c, e in enumerate(row, 1):
+            _require_float_range(e, "matrix entry ({}, {})", r, c)
 
     def apply(z: np.ndarray) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)
@@ -392,9 +404,10 @@ def p_word_torus_map(word: GeneratorWord) -> Callable[[np.ndarray], np.ndarray]:
     acts first; on the commutative circle the composite agrees pointwise
     with the monomial map of the product matrix.
     """
-    for sym, _ in word.letters:
+    for k, (sym, exp) in enumerate(word.letters, 1):
         if sym.kind != "E":
             raise ValueError("torus composition needs elementary letters only")
+        _require_float_range(exp, "exponent of letter {} ({})", k, sym.token())
 
     def apply(z: np.ndarray) -> np.ndarray:
         out = np.asarray(z, dtype=complex).copy()

@@ -538,20 +538,20 @@ HUGE = str(10**400)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["degree", "--k", "1", "--samples", "1000", "--map", "power", "--power", HUGE],
-        ["induced", "--n", "2", "--word", f"E(1,2)^{HUGE}"],
-        ["induced", "--n", "2", "--matrix", "M"],
+        (["degree", "--k", "1", "--samples", "1000", "--map", "power", "--power", HUGE], "--power"),
+        (["induced", "--n", "2", "--word", f"E(1,2)^{HUGE}"], "exponent of letter 1 (E(1,2))"),
+        (["induced", "--n", "2", "--matrix", "M"], "matrix entry (1, 2)"),
     ],
     ids=["degree-power", "induced-word", "induced-matrix"],
 )
-def test_integer_too_large_for_floats_is_input_error(capsys, write_matrix, argv):
+def test_integer_too_large_for_floats_is_input_error(capsys, write_matrix, argv, named):
     matrix = write_matrix([[1, 10**400], [0, 1]])
     assert main([matrix if arg == "M" else arg for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: int too large to convert to float\n"
+    assert captured.err == f"error: {named} is too large for floating point\n"
 
 
 # ---------------------------------------------------------------------------

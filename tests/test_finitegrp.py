@@ -6,6 +6,7 @@ from collections import deque
 
 import pytest
 
+from spheremat import finitegrp
 from spheremat.finitegrp import (
     GroupSizeLimitError,
     conjugacy_classes,
@@ -357,6 +358,68 @@ def test_enumeration_classes_and_normal_subgroups_match_naive_bfs():
     assert checked["elements"] >= 120
     assert checked["classes"] >= 90
     assert checked["normal"] >= 40
+
+
+def conjugated_elementary_generators(n, m, seed):
+    """The elementary generators conjugated by a seeded h: still SL_n(Z_m)."""
+    h = random_unit_matrix(random.Random(seed), n, m, det_one=True)
+    h_inv = h.inverse()
+    return [h * e * h_inv for e in elementary_generators_mod(n, m)]
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (2, 31)])
+def test_enumeration_forms_about_one_product_per_element(monkeypatch, n, m):
+    calls = 0
+    image = finitegrp._image
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return image(*args)
+
+    monkeypatch.setattr(finitegrp, "_image", counted)
+    table = enumerate_group(conjugated_elementary_generators(n, m, 31), n, m)
+    assert table.order == sl_order(n, m)
+    assert calls < 2 * table.order
+
+
+def test_large_enumerations_match_order_formula_and_naive_closure():
+    for n, m in ((2, 31), (3, 4)):
+        table = enumerate_group(conjugated_elementary_generators(n, m, 5), n, m)
+        assert table.order == sl_order(n, m)
+        assert all(x.det() == 1 for x in table.elements)  # so the set is SL_n(Z_m)
+    # GL_2(Z_9): 2 generates the units mod 9
+    gens = [
+        ResidueMatrix([[2, 0], [0, 1]], 9),
+        ResidueMatrix([[1, 1], [0, 1]], 9),
+        ResidueMatrix([[1, 0], [1, 1]], 9),
+        ResidueMatrix([[4, 1], [3, 7]], 9),
+    ]
+    want = naive_closure(gens, 2, 9, 10**4)
+    assert len(want) == 9**4 * 2 * 8 // (3 * 9)
+    assert {x.rows for x in enumerate_group(gens, 2, 9).elements} == want
+
+
+def test_every_generator_order_gives_the_same_group():
+    d = ResidueMatrix([[2, 0], [0, 1]], 5)
+    u = ResidueMatrix([[1, 1], [0, 1]], 5)
+    low = ResidueMatrix([[1, 0], [3, 1]], 5)
+    gens = [d, u, ResidueMatrix.identity(2, 5), u * low, low]
+    want = naive_closure(gens, 2, 5, 10**3)
+    assert len(want) == 480  # GL_2(Z_5)
+    for order in itertools.permutations(gens):
+        table = enumerate_group(order, 2, 5)
+        assert table.generators == order
+        assert {x.rows for x in table.elements} == want
+
+
+def test_power_subgroup_matches_naive_closure_of_powers():
+    for n, m, t in ((2, 4, 2), (2, 5, 3), (2, 8, 2), (3, 2, 2)):
+        gens = conjugated_elementary_generators(n, m, 17)
+        group = enumerate_group(gens, n, m)
+        powers = {x ** t for x in group.elements}
+        want = naive_closure(powers, n, m, 10**4)
+        assert {x.rows for x in power_subgroup(group, gens, t).elements} == want
 
 
 def test_size_cap_counts_the_identity():

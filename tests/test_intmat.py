@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,20 @@ def test_constructors_coerce_entries_to_int():
         assert all(type(row) is tuple for row in got.rows) and type(got.rows) is tuple
     assert IntMatrix(rows).rows == ((1, 2), (-7, 0))
     assert ResidueMatrix(rows, 5).rows == ((1, 2), (3, 0))
+
+
+def test_constructors_reject_non_integral_entries():
+    for make in (IntMatrix, lambda rows: ResidueMatrix(rows, 5)):
+        for rows, bad in (
+            ([[Fraction(3, 2), 0], [0, 1]], "Fraction(3, 2)"),
+            ([[1, 0], [0, 1.9]], "1.9"),
+            ([[2.5, 0], [0, 1]], "2.5"),
+        ):
+            with pytest.raises(ValueError, match=f"^matrix entry {re.escape(bad)} is not an integer$"):
+                make(rows)
+    # rows may be one-shot iterators: each is read once
+    assert IntMatrix((iter(row) for row in [[2, 1], [1, 1]])).rows == ((2, 1), (1, 1))
+    assert ResidueMatrix([iter([7, 1]), iter([Fraction(9, 3), 1])], 5).rows == ((2, 1), (3, 1))
 
 
 def test_constructors_reject_bad_shapes_and_moduli():

@@ -458,3 +458,14 @@ def test_check_unit_point_tolerance():
     with pytest.raises(ValueError):
         check_unit_point(np.array([1.0, 1e-5]))
     check_unit_point(np.array([1.0, 1e-5]), tol=1e-3)
+
+
+def test_torus_maps_name_an_integer_too_large_for_floats():
+    huge = 10**400
+    with pytest.raises(ValueError, match=r"^matrix entry \(2, 1\) is too large for floating point$"):
+        p_a_torus_map(IntMatrix([[1, 0], [-huge, 1]]))
+    word = GeneratorWord(2, ((E(1, 2), 3), (E(2, 1), huge)))
+    with pytest.raises(ValueError, match=r"^exponent of letter 2 \(E\(2,1\)\) is too large for floating point$"):
+        p_word_torus_map(word)
+    # the largest exponents a float holds still build a map
+    p_a_torus_map(IntMatrix([[1, 2**1023], [0, 1]]))
