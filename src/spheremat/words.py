@@ -18,15 +18,17 @@ generate the level-2 congruence subgroup.
 Evaluation applies each letter to the columns of the running product in
 place: an elementary letter adds a multiple of one column to another, and
 the other letters negate or permute columns. A word of L letters costs
-O(L*n) integer operations, whatever its exponents.
+O(L*n) integer operations, whatever its exponents. `_word_rows` is the one
+evaluator; every exact check here compares its rows with a target's rows,
+and an `IntMatrix` is built only for a caller that asks for one.
 
 The conjugation rewrite tables below (pushing an elementary letter across
-a congruence generator) are not taken on faith: every case is re-verified
-by exact multiplication on each call, and a bounded breadth-first search
-stands by to repair any case that fails. One function, `_table_rewrite`,
-decides each case's family and word; the family index is the position in
-`_CASE_FAMILIES`, and `rewrite_table_audit` reports the verification status
-of all sixteen families in that order.
+a congruence generator) are not taken on faith: on each call the table
+word and e * g * e^-1 are evaluated to rows and compared, and a bounded
+breadth-first search stands by to repair any case that fails. One
+function, `_table_rewrite`, decides each case's family and word; the
+family index is the position in `_CASE_FAMILIES`, and `rewrite_table_audit`
+reports the verification status of all sixteen families in that order.
 """
 
 from __future__ import annotations
@@ -158,15 +160,16 @@ def _apply_letters(cols: list[list[int]], letters: Iterable[Letter], n: int) -> 
                     cols[c] = [-x for x in cols[c]]
 
 
-def _evaluate(n: int, letters: Iterable[Letter]) -> IntMatrix:
+def _word_rows(n: int, letters: Iterable[Letter]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the product of `letters` in dimension n, evaluated exactly."""
     cols = [[int(r == c) for r in range(n)] for c in range(n)]
     _apply_letters(cols, letters, n)
-    return IntMatrix(zip(*cols))
+    return tuple(zip(*cols))
 
 
 def symbol_matrix(sym: GeneratorSymbol, n: int) -> IntMatrix:
     """Exact matrix of a letter in dimension n; validates index ranges."""
-    return _evaluate(n, ((sym, 1),))
+    return IntMatrix(_word_rows(n, ((sym, 1),)))
 
 
 @record
@@ -182,12 +185,14 @@ class GeneratorWord:
         for sym, exp in self.letters:
             if not isinstance(sym, GeneratorSymbol) or exp == 0:
                 raise ValueError("letters must be (symbol, nonzero exponent) pairs")
+            if not isinstance(exp, int):
+                raise ValueError(f"exponent {exp!r} is not an integer")
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def matrix(self) -> IntMatrix:
-        return _evaluate(self.n, self.letters)
+        return IntMatrix(_word_rows(self.n, self.letters))
 
     def inverse(self) -> "GeneratorWord":
         return GeneratorWord(
@@ -255,18 +260,16 @@ def jrange_expand(i: int, k: int, n: int) -> GeneratorWord:
 
     With lo = min(i, k) and hi = max(i, k), the product
     J(lo) J(lo+1) .. J(hi-1) telescopes: interior signs cancel in pairs,
-    leaving -1 exactly at positions lo and hi.
+    leaving -1 exactly at positions lo and hi. Not evaluated here: the
+    rewrite tables and `_eliminate` splice it into words that are evaluated
+    whole, and the ledger's `jr-expansion` entry checks it against JR(i, k).
     """
     if i == k:
         raise ValueError("sign pair needs two distinct positions")
     if not (1 <= i <= n and 1 <= k <= n):
         raise ValueError(f"positions ({i},{k}) out of range for n={n}")
     lo, hi = min(i, k), max(i, k)
-    word = GeneratorWord(n, tuple((J(r), 1) for r in range(lo, hi)))
-    expected = IntMatrix.diagonal([-1 if r + 1 in (i, k) else 1 for r in range(n)])
-    if word.matrix() != expected:
-        raise AssertionError("sign-pair expansion failed exact verification")
-    return word
+    return GeneratorWord(n, tuple((J(r), 1) for r in range(lo, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +374,11 @@ def _conjugate_rewrite_checked(
 ) -> tuple[int, GeneratorWord, bool]:
     """Case family, rewrite word, and whether the table entry needed repair."""
     case, letters = _table_rewrite(e_letter, g_letter, n)
-    word = GeneratorWord(n, tuple(letters))
     (esym, eexp), (gsym, gexp) = e_letter, g_letter
-    target = _evaluate(n, (e_letter, g_letter, (esym, -eexp)))
-    if word.matrix() == target:
-        return case, word, False
-    repaired = search_congruence_word(target)
+    target = _word_rows(n, (e_letter, g_letter, (esym, -eexp)))
+    if _word_rows(n, letters) == target:
+        return case, GeneratorWord(n, tuple(letters)), False
+    repaired = search_congruence_word(IntMatrix(target))
     if repaired is None:
         raise AssertionError(
             f"no short congruence word found for {esym.token(eexp)} "
@@ -514,6 +516,13 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
     return builder.word()
 
 
+def _verified(word: GeneratorWord, a: IntMatrix, kind: str) -> GeneratorWord:
+    """`word` if it evaluates to `a`; otherwise AssertionError naming `kind`."""
+    if _word_rows(a.n, word.letters) != a.rows:
+        raise AssertionError(f"{kind} decomposition failed re-multiplication")
+    return word
+
+
 def decompose_gamma2(a: IntMatrix) -> GeneratorWord:
     """Write a level-2 congruence matrix of dimension 2 over {E^2, NEG}.
 
@@ -525,10 +534,7 @@ def decompose_gamma2(a: IntMatrix) -> GeneratorWord:
         raise ValueError("this decomposition is for 2x2 matrices")
     if not in_congruence(a, 2):
         raise NotInGroupError("matrix is not in the level-2 congruence subgroup")
-    word = _eliminate(a, 2)
-    if word.matrix() != a:
-        raise AssertionError("dimension-2 decomposition failed re-multiplication")
-    return word
+    return _verified(_eliminate(a, 2), a, "dimension-2")
 
 
 def decompose_gamma_n(a: IntMatrix) -> GeneratorWord:
@@ -543,10 +549,7 @@ def decompose_gamma_n(a: IntMatrix) -> GeneratorWord:
         raise ValueError("use decompose_gamma2 for dimension 2")
     if not in_congruence(a, 2):
         raise NotInGroupError("matrix is not in the level-2 congruence subgroup")
-    word = _eliminate(a, 2)
-    if word.matrix() != a:
-        raise AssertionError("congruence decomposition failed re-multiplication")
-    return word
+    return _verified(_eliminate(a, 2), a, "congruence")
 
 
 def decompose_sln(a: IntMatrix) -> GeneratorWord:
@@ -558,10 +561,7 @@ def decompose_sln(a: IntMatrix) -> GeneratorWord:
     """
     if a.det() != 1:
         raise NotInGroupError("matrix must have determinant 1")
-    word = _eliminate(a, 1)
-    if word.matrix() != a:
-        raise AssertionError("elementary decomposition failed re-multiplication")
-    return word
+    return _verified(_eliminate(a, 1), a, "elementary")
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,14 @@ def test_decompose_evaluates_its_word_once(capsys, monkeypatch, write_matrix, ro
     import spheremat.words as words
 
     evaluated = []
-    evaluate = words.GeneratorWord.matrix
+    evaluate = words._word_rows
 
-    def counted(self):
-        evaluated.append(str(self))
-        return evaluate(self)
+    def counted(n, letters):
+        letters = tuple(letters)
+        evaluated.append(str(words.GeneratorWord(n, letters)))
+        return evaluate(n, letters)
 
-    monkeypatch.setattr(words.GeneratorWord, "matrix", counted)
+    monkeypatch.setattr(words, "_word_rows", counted)
     code, payload = run_json(capsys, ["decompose", write_matrix(rows), "--target", target])
     assert code == 0 and payload["verification"] == "OK"
     # the library's re-multiplication is the only one
@@ -216,14 +217,43 @@ def test_decompose_evaluates_its_word_once(capsys, monkeypatch, write_matrix, ro
 def test_decompose_failed_check_is_verification_failure(capsys, monkeypatch, write_matrix):
     import spheremat.words as words
 
-    wrong = lambda self: IntMatrix.identity(self.n)
-    monkeypatch.setattr(words.GeneratorWord, "matrix", wrong)
+    wrong = lambda n, letters: IntMatrix.identity(n).rows
+    monkeypatch.setattr(words, "_word_rows", wrong)
     path = write_matrix([[3, 2], [4, 3]])
     assert main(["decompose", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "verification failed: dimension-2 decomposition failed re-multiplication\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, target, kind",
+    [
+        ([[3, 2], [4, 3]], "gamma2", "dimension-2"),
+        ([[1, 0, 2], [2, 1, 4], [0, 0, 1]], "gamman", "congruence"),
+        ([[2, 1, 0], [1, 1, 0], [0, 0, 1]], "sln", "elementary"),
+    ],
+)
+def test_decompose_wrong_word_is_verification_failure(
+    capsys, monkeypatch, write_matrix, rows, target, kind
+):
+    # corrupt the word, not the checker: the elimination loses its last letter
+    import spheremat.words as words
+
+    eliminate = words._eliminate
+
+    def truncated(a, step):
+        word = eliminate(a, step)
+        return words.GeneratorWord(word.n, word.letters[:-1])
+
+    monkeypatch.setattr(words, "_eliminate", truncated)
+    assert main(["decompose", write_matrix(rows), "--target", target]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"verification failed: {kind} decomposition failed re-multiplication\n"
     )
 
 

@@ -17,7 +17,7 @@ from spheremat.obstruction import ObstructionReport, ObstructionVerdict
 from spheremat.permutation import Permutation
 from spheremat.spheres import CollisionWitness, quaternion
 from spheremat.subgroups import CosetCertificate, MembershipCheck
-from spheremat.words import E, GeneratorSymbol, GeneratorWord, RewriteCaseReport
+from spheremat.words import E, TAU, GeneratorSymbol, GeneratorWord, J, RewriteCaseReport
 
 _NO_DEFAULT = object()
 _I3 = ResidueMatrix.identity(2, 3)
@@ -187,6 +187,9 @@ def test_generator_symbol_validation(args, kwargs, message):
         ((0,), "dimension must be at least 1"),
         ((2, ((E(1, 2), 0),)), r"letters must be \(symbol, nonzero exponent\) pairs"),
         ((2, (("E", 1),)), r"letters must be \(symbol, nonzero exponent\) pairs"),
+        ((3, ((J(1), 1.5),)), r"exponent 1\.5 is not an integer"),
+        ((2, ((TAU, 2.5),)), r"exponent 2\.5 is not an integer"),
+        ((2, ((E(1, 2), 2.0),)), r"exponent 2\.0 is not an integer"),
     ],
 )
 def test_generator_word_validation(args, message):

@@ -535,6 +535,37 @@ def test_letter_cap_is_read_per_call_and_bounds_the_loop(monkeypatch, k):
         assert len(decompose_gamma2(_slow_gamma2(k))) == 20001
 
 
+def test_exact_checks_build_no_intmatrix(monkeypatch):
+    # every word check compares evaluated rows; only a gate may validate a matrix
+    import spheremat.intmat as intmat
+
+    cases = [
+        (decompose_gamma2, IntMatrix([[3, 2], [4, 3]]), lambda a: in_congruence(a, 2)),
+        # ends on a -1 pair, so the word carries a jrange_expand flip
+        (decompose_gamma_n, IntMatrix([[-1, 0, 2], [0, -1, 0], [0, 0, 1]]),
+         lambda a: in_congruence(a, 2)),
+        (decompose_sln, IntMatrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]]), lambda a: a.det()),
+    ]
+    calls = []
+    square_rows = intmat._square_rows
+
+    def counted(rows):
+        calls.append(1)
+        return square_rows(rows)
+
+    monkeypatch.setattr(intmat, "_square_rows", counted)
+    assert all(r.status == "VERIFIED" for r in rewrite_table_audit(4))
+    assert jrange_expand(1, 4, 4).letters == ((J(1), 1), (J(2), 1), (J(3), 1))
+    assert calls == []
+    for decompose, a, gate in cases:
+        calls.clear()
+        gate(a)
+        gated = len(calls)
+        calls.clear()
+        decompose(a)
+        assert len(calls) == gated, decompose.__name__
+
+
 # ---------------------------------------------------------------------------
 # the column-operation evaluator against dense products
 # ---------------------------------------------------------------------------
@@ -604,9 +635,17 @@ def mixed_words(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mixed_words())
-def test_word_matrix_matches_dense_product(word):
-    assert word.matrix() == _dense_word(word)
+@given(mixed_words(), st.integers(0, 35), st.sampled_from((1, -1)))
+def test_word_matrix_matches_dense_product(word, entry, delta):
+    rows = words_module._word_rows(word.n, word.letters)
+    assert rows == word.matrix().rows == _dense_word(word).rows
+    # the decompositions' check rejects a target one entry off
+    r, c = divmod(entry % word.n**2, word.n)
+    off = [list(row) for row in rows]
+    off[r][c] += delta
+    with pytest.raises(AssertionError, match="^elementary decomposition failed"):
+        words_module._verified(word, IntMatrix(off), "elementary")
+    assert words_module._verified(word, word.matrix(), "elementary") is word
 
 
 def test_word_matrix_all_letter_kinds_large_exponents():
