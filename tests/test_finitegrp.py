@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -237,6 +238,23 @@ def test_normal_subgroups_class_guard():
     g = sl(2, 3)
     with pytest.raises(GroupSizeLimitError):
         normal_subgroups(g, max_classes=3)
+
+
+def test_normal_subgroups_are_frozen():
+    # digest of the order and generators of every normal subgroup, in list
+    # order, as the search over unions of conjugacy classes gave them;
+    # SL_2(Z_6) has 21 classes and is refused by the default guard
+    groups = [sl(2, m) for m in (2, 3, 4, 5, 7, 11, 13)] + [sl(3, 2)]
+    gl = enumerate_group([ResidueMatrix([[2, 0], [0, 1]], 3), *elementary_generators_mod(2, 3)], 2, 3)
+    assert gl.order == 48 and len(conjugacy_classes(gl)) == 8
+    groups.append(gl)
+    parts = [
+        [(s.order, [r.rows for r in s.generators]) for s in normal_subgroups(g)]
+        for g in groups
+    ]
+    assert [s[0] for s in parts[-1]] == [1, 2, 8, 24, 48]
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == "8767d2f055fb421e2f0b2ba89381ab2d0f4d475465b17a339ff0274861e48d40"
 
 
 # ---------------------------------------------------------------------------
