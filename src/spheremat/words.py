@@ -301,6 +301,9 @@ def _table_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> tuple[int, lis
     """
     esym, sign = e_letter
     gsym, gexp = g_letter
+    for exp in (sign, gexp):
+        if not isinstance(exp, int):
+            raise ValueError(f"exponent {exp!r} is not an integer")
     if esym.kind != "E" or sign not in (1, -1):
         raise ValueError("conjugator must be an elementary letter with exponent +-1")
     i, j = esym.i, esym.j

@@ -19,6 +19,7 @@ from spheremat.finitegrp import (
     is_normal,
     normal_subgroups,
     power_subgroup,
+    sl_order,
 )
 from spheremat.intmat import IntMatrix, hyperbolic_check, tau_matrix
 from spheremat.obstruction import classify
@@ -32,6 +33,8 @@ from spheremat.spheres import (
 )
 from spheremat.subgroups import count_hR_even, random_sln
 from spheremat.words import (
+    GeneratorWord,
+    congruence_generators,
     decompose_gamma2,
     decompose_gamma_n,
     random_congruence_word,
@@ -187,3 +190,26 @@ def test_criterion_9_hyperbolicity():
         assert hyperbolic_check(IntMatrix([[1, s], [s, s * s + 1]]))
     assert not hyperbolic_check(tau_matrix(2))
     _report(9, "trace family hyperbolic for s=2..10, rotation block is not")
+
+
+def test_criterion_10_level2_image_is_congruence_kernel():
+    # the E(i,j)^2 and J(k) generate, modulo m, the whole kernel of
+    # SL_n(Z_m) -> SL_n(Z_2): the level-2 containment checked modulo Gamma(m)
+    start = time.monotonic()
+    images = {}
+    for n, m in ((3, 4), (4, 4), (3, 6)):
+        gens = [GeneratorWord(n, (gen,)).matrix().reduce_mod(m) for gen in congruence_generators(n)]
+        images[n, m] = image = enumerate_group(gens, n, m)
+        assert image.order == sl_order(n, m) // sl_order(n, 2)
+        assert all(
+            (x - (r == c)) % 2 == 0
+            for g in image.elements
+            for r, row in enumerate(g.rows)
+            for c, x in enumerate(row)
+        )
+    elapsed = time.monotonic() - start
+    orders = {key: image.order for key, image in images.items()}
+    assert orders == {(3, 4): 256, (4, 4): 32768, (3, 6): 5616}
+    assert elapsed < 5.0
+    assert is_normal(images[3, 4], enumerate_group(elementary_generators_mod(3, 4), 3, 4))
+    _report(10, f"level-2 images of orders {sorted(orders.values())} in {elapsed:.2f}s")

@@ -257,6 +257,31 @@ def test_normal_subgroups_are_frozen():
     assert digest == "8767d2f055fb421e2f0b2ba89381ab2d0f4d475465b17a339ff0274861e48d40"
 
 
+def test_normal_subgroups_sl2_z13_budget():
+    g = sl(2, 13)
+    start = time.monotonic()
+    subs = normal_subgroups(g)
+    elapsed = time.monotonic() - start
+    assert [s.order for s in subs] == [1, 2, 2184]
+    assert elapsed < 1.5
+
+
+def test_normal_subgroups_past_twenty_classes():
+    g = sl(2, 9)
+    with pytest.raises(GroupSizeLimitError):
+        normal_subgroups(g)  # more than the default 20 classes
+    subs = normal_subgroups(g, max_classes=25)
+    assert [s.order for s in subs] == [1, 2, 27, 54, 216, 648]
+    assert subs[-1].elements == g.elements
+    rows = [frozenset(x.rows for x in s.elements) for s in subs]
+    for s, r in zip(subs[:-1], rows):
+        assert brute_is_normal(s, g)
+        assert all(dense_mul(x, y, 9) in r for x in r for y in r)
+    # the product of two normal subgroups is normal, so it is in the list
+    for a, b in itertools.combinations(rows[:-1], 2):
+        assert frozenset(dense_mul(x, y, 9) for x in a for y in b) in rows
+
+
 # ---------------------------------------------------------------------------
 # differential tests against a naive BFS over dense products
 # ---------------------------------------------------------------------------

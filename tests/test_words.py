@@ -211,6 +211,23 @@ def test_rewrite_output_is_congruence_word():
         assert w.matrix() == e_mat * g_mat * e_mat.inverse_unimodular()
 
 
+@pytest.mark.parametrize(
+    "e_letter, g_letter, error",
+    [
+        ((E(1, 2), 1), (E(2, 3), 2.0), "exponent 2.0 is not an integer"),
+        ((E(1, 2), 1.0), (E(2, 3), 2), "exponent 1.0 is not an integer"),
+        ((E(1, 2), 1), (E(2, 3), 2), None),
+    ],
+)
+def test_rewrite_rejects_non_integer_exponents(e_letter, g_letter, error):
+    if error is None:
+        assert conjugate_rewrite(e_letter, g_letter, 3).letters == ((E(1, 3), 2), (E(2, 3), 2))
+    else:
+        with pytest.raises(ValueError) as info:
+            conjugate_rewrite(e_letter, g_letter, 3)
+        assert str(info.value) == error
+
+
 def test_rewrite_table_audit_all_verified():
     for n, total in ((3, 96), (4, 360)):
         reports = rewrite_table_audit(n)
