@@ -1,32 +1,27 @@
 """Coset enumeration of matrix groups over Z_m, plus structure checks.
 
-Everything here is desk scale: groups are materialized as hash sets of
-residue matrices, with an explicit size cap so a typo in the modulus fails
-fast instead of eating memory.
+Everything here is desk scale: groups are held as hash sets of residue
+matrices, under a size cap so a typo in the modulus fails fast.
 
-`_dimino` grows a group by whole right cosets of the subgroup built so far
-(Dimino's algorithm, Butler 1991; see its docstring), forming about one
-product per element. It is the one closure loop here: `enumerate_group` runs
-it on checked generators, and `normal_subgroups` runs it to join a normal
-subgroup with a conjugacy class.
-
-The inner loops work on bare rows, the orbit-algorithm layout of Holt, Eick
+Every query runs on one row kernel, the orbit-algorithm layout of Holt, Eick
 and O'Brien, *Handbook of Computational Group Theory* (2005), ch. 4. A
-matrix is a tuple of row tuples, entries reduced to 0..m-1. Right
-multiplication by a fixed matrix g maps each row v of x to v*g on its own, so
-x*g is the tuple of the images of x's rows. `_image` caches each image in a
-dict kept per multiplier and filled on first use; it holds at most one entry
-per distinct row seen, never a table of all m^n vectors, and equal rows of
-different elements share one tuple. Left multiplication, for conjugation, is
-the same map on the transpose. Rows are wrapped into `ResidueMatrix` once, at
-the API boundary, without re-validation.
+matrix is a tuple of row tuples, entries reduced to 0..m-1, and x*g is the
+tuple of the images v*g of x's rows v. `_image` caches each image in a dict
+kept per multiplier g, so it holds one entry per distinct row met, never all
+m^n vectors, and equal rows of different elements share one tuple. Left
+multiplication is the same map on the transpose; `_conjugation` composes the
+two into x -> g x g^-1 for `conjugacy_classes` and `find_normality_violation`.
+`_dimino` is the one closure loop (Dimino's algorithm, Butler 1991), forming
+about one product per element: `_table` runs it for `enumerate_group` and
+`power_subgroup`, and `normal_subgroups` for its class closures and joins.
+Rows become `ResidueMatrix` once, at the API boundary, without re-validation.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ._record import record
 from .intmat import (
@@ -39,7 +34,6 @@ from .intmat import (
 from .permutation import Permutation
 # coset_representatives and representative_matrix are re-exported from here
 from .subgroups import coset_representatives, in_W2, mod2_class, representative_matrix
-from .words import random_congruence_word
 
 _Rows = tuple[tuple[int, ...], ...]
 
@@ -87,6 +81,13 @@ def _transpose(rows: _Rows) -> _Rows:
     return tuple(zip(*rows))
 
 
+def _conjugation(g: ResidueMatrix) -> Callable[[_Rows], _Rows]:
+    """x -> g x g^-1 on rows, as ((x g^-1)^T g^T)^T: a row memo for g^-1 and
+    one for g^T, whose columns are the rows of g."""
+    m, inv, right, left = g.m, _transpose(g.inverse().rows), {}, {}
+    return lambda x: _transpose(_image(_transpose(_image(x, inv, right, m)), g.rows, left, m))
+
+
 def _dimino(gen_rows: Sequence[_Rows], n: int, m: int, max_size: int) -> list[_Rows]:
     """Rows of every element of the group generated by `gen_rows` (Dimino).
 
@@ -124,6 +125,16 @@ def _dimino(gen_rows: Sequence[_Rows], n: int, m: int, max_size: int) -> list[_R
     return found
 
 
+def _table(gens: Sequence[ResidueMatrix], n: int, m: int, max_size: int) -> FiniteGroupTable:
+    """The table of <gens> (see `_dimino`); their determinants must be units."""
+    found = _dimino([g.rows for g in gens], n, m, max_size)
+    # `_dimino` has freed its membership set, which lowers the peak. A fresh outer
+    # tuple per element (rows shared) sits next to its ResidueMatrix; lookups ran
+    # ~6% faster with it (groups benchmark, 2-vCPU VM), at +64 B per element.
+    elements = frozenset(ResidueMatrix._trusted(tuple([*rows]), m) for rows in found)
+    return FiniteGroupTable(n=n, m=m, generators=tuple(gens), elements=elements)
+
+
 def enumerate_group(
     generators: Sequence[ResidueMatrix],
     n: int,
@@ -139,12 +150,7 @@ def enumerate_group(
         if math.gcd(g.det(), m) != 1:
             raise ValueError(f"generator determinant {g.det()} is not a unit mod {m}")
         gens.append(g)
-    found = _dimino([g.rows for g in gens], n, m, max_size)
-    # `_dimino` has freed its membership set, which lowers the peak. A fresh
-    # outer tuple per element (rows shared) sits next to its ResidueMatrix;
-    # lookups ran ~6% faster with it (groups benchmark, 2-vCPU VM), +64 B each.
-    elements = frozenset(ResidueMatrix._trusted(tuple([*rows]), m) for rows in found)
-    return FiniteGroupTable(n=n, m=m, generators=tuple(gens), elements=elements)
+    return _table(gens, n, m, max_size)
 
 
 def power_subgroup(
@@ -159,27 +165,28 @@ def power_subgroup(
     sub = enumerate_group(subgroup_generators, group.n, group.m, max_size=max_size)
     if not sub.elements <= group.elements:
         raise ValueError("given generators do not lie inside the ambient group")
+    # powers of checked elements: their determinants are units
     powers = sorted({x ** t for x in sub.elements}, key=lambda r: r.rows)
-    return enumerate_group(powers, group.n, group.m, max_size=max_size)
+    return _table(powers, group.n, group.m, max_size)
 
 
 def find_normality_violation(
     subgroup: FiniteGroupTable, group: FiniteGroupTable
 ) -> Optional[tuple[ResidueMatrix, ResidueMatrix]]:
-    """A pair (g, h) with g h g^-1 outside the subgroup, or None.
+    """The first pair (g, h) of a group and a subgroup generator with
+    g h g^-1 outside the subgroup, or None.
 
-    Conjugating subgroup generators by group generators suffices: if every
-    such conjugate stays inside, conjugation by any product does too (the
-    subgroup is finite, so containment forces equality).
-    """
+    Generators suffice: if every such conjugate stays inside, conjugation by
+    any product does too (the subgroup is finite, so containment forces
+    equality)."""
     if subgroup.n != group.n or subgroup.m != group.m:
         raise ValueError("dimension or modulus mismatch")
     if not subgroup.elements <= group.elements:
         raise ValueError("first argument is not contained in the second")
     for g in group.generators:
-        ginv = g.inverse()
+        conjugate = _conjugation(g)
         for h in subgroup.generators:
-            if g * h * ginv not in subgroup.elements:
+            if ResidueMatrix._trusted(conjugate(h.rows), g.m) not in subgroup.elements:
                 return (g, h)
     return None
 
@@ -189,15 +196,10 @@ def is_normal(subgroup: FiniteGroupTable, group: FiniteGroupTable) -> bool:
 
 
 def conjugacy_classes(group: FiniteGroupTable) -> list[frozenset[ResidueMatrix]]:
-    """Conjugacy classes as orbits under conjugation by the generators.
-
-    g x g^-1 is computed on rows as ((x g^-1)^T g^T)^T: a row memo for g^-1,
-    a transpose, a row memo for g^T (whose columns are the rows of g) and a
-    transpose back.
-    """
-    m = group.m
-    conjugators = [(_transpose(g.inverse().rows), {}, g.rows, {}) for g in group.generators]
-    remaining = {x.rows for x in group.elements}
+    """Conjugacy classes as orbits of `_conjugation` by the generators, in
+    order of their smallest rows; each class holds the table's own elements."""
+    conjugations = [_conjugation(g) for g in group.generators]
+    remaining = {x.rows: x for x in group.elements}
     classes = []
     for seed in sorted(remaining):
         if seed not in remaining:
@@ -205,45 +207,42 @@ def conjugacy_classes(group: FiniteGroupTable) -> list[frozenset[ResidueMatrix]]
         seen = {seed}
         orbit = [seed]
         for x in orbit:
-            for right_cols, right, left_cols, left in conjugators:
-                y = _transpose(
-                    _image(_transpose(_image(x, right_cols, right, m)), left_cols, left, m)
-                )
+            for conjugate in conjugations:
+                y = conjugate(x)
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-        remaining -= seen
-        classes.append(frozenset(ResidueMatrix._trusted(rows, m) for rows in orbit))
+        classes.append(frozenset(remaining.pop(y) for y in orbit))
     return classes
 
 
-def normal_subgroups(
-    group: FiniteGroupTable, max_classes: int = 20
-) -> list[FiniteGroupTable]:
-    """All normal subgroups, sorted by order, then by sorted element rows.
+def normal_subgroups(group: FiniteGroupTable) -> list[FiniteGroupTable]:
+    """All normal subgroups, sorted by order, then by sorted element rows,
+    each with its sorted elements as `generators`.
 
     The subgroup <C> generated by a conjugacy class C is normal, and a normal
-    subgroup N is the join of the <C> over the classes C inside N. So the
-    lattice is the closure of {1} under "join with one class", one `_dimino`
-    run per (normal subgroup, class outside it) pair. `max_classes` no longer
-    bounds an exponential loop; it is kept, with its error, for API stability.
+    subgroup N is the join of the <C> over the classes C inside N. So one
+    `_dimino` run per class builds each atom <C>, and the lattice is {1}
+    closed under joins with the distinct atoms. N joined with an atom inside
+    it is N, and with an atom containing it is the atom; only the other joins
+    run `_dimino`. Every run is bounded by the group order.
     """
-    classes = conjugacy_classes(group)
-    if len(classes) > max_classes:
-        raise GroupSizeLimitError(f"too many conjugacy classes ({len(classes)})")
     n, m = group.n, group.m
-    wrap = {x.rows: x for cls in classes for x in cls}
+    atoms = {}  # <C> -> the rows of the first class C that generates it
+    for cls in conjugacy_classes(group):
+        rows = [x.rows for x in cls]  # rows of table elements: unit determinants
+        atoms.setdefault(frozenset(_dimino(rows, n, m, group.order)), rows)
     todo = [frozenset([ResidueMatrix.identity(n, m).rows])]
     lattice = set(todo)
     for sub in todo:
-        for cls in classes:
-            if next(iter(cls)).rows in sub:
+        for atom, cls in atoms.items():
+            if cls[0] in sub:  # a normal subgroup holds all of a class or none
                 continue
-            # rows of the table's elements, whose determinants are units
-            joined = frozenset(_dimino([*sub, *(x.rows for x in cls)], n, m, group.order))
+            joined = atom if sub <= atom else frozenset(_dimino([*sub, *cls], n, m, group.order))
             if joined not in lattice:
                 lattice.add(joined)
                 todo.append(joined)
+    wrap = {x.rows: x for x in group.elements}
     subs = sorted((sorted(sub) for sub in lattice), key=lambda rows: (len(rows), rows))
     gens = [tuple(wrap[x] for x in rows) for rows in subs]
     return [FiniteGroupTable(n, m, g, frozenset(g)) for g in gens]
@@ -324,7 +323,6 @@ def index_check(n: int, samples: int = 25, seed: int = 2024) -> IndexCheckReport
             cyc = Permutation.from_cycles(n, [(start, start + 1, start + 2)])
             gen_images.append(cyc.matrix().reduce_mod(2))
     image = enumerate_group(gen_images, n, 2)
-    expected = math.factorial(n)
 
     reps = coset_representatives(n)
     rep_mats = [representative_matrix(uses_tau, sigma) for uses_tau, sigma in reps]
@@ -332,22 +330,22 @@ def index_check(n: int, samples: int = 25, seed: int = 2024) -> IndexCheckReport
     mod2_images = {mat.reduce_mod(2) for mat in rep_mats}
     distinct = len(mod2_images) == len(rep_mats) and mod2_images == image.elements
 
+    from .words import random_congruence_word
+
     rng = random.Random(seed)
     covered = True
     for _ in range(samples):
         uses_tau, sigma = reps[rng.randrange(len(reps))]
         gamma = random_congruence_word(n, rng, max_letters=12).matrix()
         sample = representative_matrix(uses_tau, sigma) * gamma
-        if not in_W2(sample) or sample.reduce_mod(2) not in mod2_images:
-            covered = False
-            break
-        if mod2_class(sample) is None:
+        reduced = sample.reduce_mod(2)
+        if not in_W2(sample) or reduced not in mod2_images or mod2_class(sample) is None:
             covered = False
             break
     return IndexCheckReport(
         n=n,
         image_order=image.order,
-        expected_order=expected,
+        expected_order=math.factorial(n),
         representatives=len(rep_mats),
         representatives_in_group=all_in,
         mod2_images_distinct=distinct,

@@ -66,12 +66,13 @@ def _square_and_multiply(base, exponent: int, one):
     Shared by the integer, residue and algebra-element powers.
     """
     result = one
-    while exponent:
+    while True:
         if exponent & 1:
             result = result * base
-        base = base * base
         exponent >>= 1
-    return result
+        if not exponent:
+            return result
+        base = base * base
 
 
 class IntMatrix:

@@ -24,6 +24,7 @@ from spheremat.finitegrp import (
 )
 from spheremat.intmat import IntMatrix, ResidueMatrix, tau_matrix
 from spheremat.subgroups import in_W2
+from spheremat.words import GeneratorWord, congruence_generators
 
 
 def sl(n, m):
@@ -234,12 +235,6 @@ def test_normal_subgroups_match_brute_lattice():
         assert got == brute_normal_lattice(g)
 
 
-def test_normal_subgroups_class_guard():
-    g = sl(2, 3)
-    with pytest.raises(GroupSizeLimitError):
-        normal_subgroups(g, max_classes=3)
-
-
 def test_normal_subgroups_are_frozen():
     # digest of the order and generators of every normal subgroup, in list
     # order, as the search over unions of conjugacy classes gave them;
@@ -266,20 +261,54 @@ def test_normal_subgroups_sl2_z13_budget():
     assert elapsed < 1.5
 
 
-def test_normal_subgroups_past_twenty_classes():
-    g = sl(2, 9)
-    with pytest.raises(GroupSizeLimitError):
-        normal_subgroups(g)  # more than the default 20 classes
-    subs = normal_subgroups(g, max_classes=25)
-    assert [s.order for s in subs] == [1, 2, 27, 54, 216, 648]
+@pytest.mark.parametrize(
+    "m, orders",
+    [
+        pytest.param(8, [1, 2, 2, 2, 4, 4, 8, 8, 8, 16, 32, 64, 96, 192, 384], id="m8"),
+        pytest.param(9, [1, 2, 27, 54, 216, 648], id="m9"),
+    ],
+)
+def test_normal_subgroups_past_twenty_classes(m, orders):
+    g = sl(2, m)  # 30 classes at m = 8, 25 at m = 9
+    subs = normal_subgroups(g)
+    assert [s.order for s in subs] == orders
     assert subs[-1].elements == g.elements
     rows = [frozenset(x.rows for x in s.elements) for s in subs]
     for s, r in zip(subs[:-1], rows):
         assert brute_is_normal(s, g)
-        assert all(dense_mul(x, y, 9) in r for x in r for y in r)
+        assert all(dense_mul(x, y, m) in r for x in r for y in r)
     # the product of two normal subgroups is normal, so it is in the list
     for a, b in itertools.combinations(rows[:-1], 2):
-        assert frozenset(dense_mul(x, y, 9) for x in a for y in b) in rows
+        assert frozenset(dense_mul(x, y, m) for x in a for y in b) in rows
+
+
+def test_sl3_z4_normal_subgroups_are_the_level2_kernel(monkeypatch):
+    # For n >= 3 every finite-index subgroup of SL_n(Z) contains some Gamma(m)
+    # (Bass-Milnor-Serre), so the congruence claim is checked in SL_n(Z_m).
+    # In SL_3(Z_4) the one proper nontrivial normal subgroup is the kernel of
+    # reduction mod 2, which is the mod-4 image of the level-2 generators.
+    g = sl(3, 4)
+    level2 = enumerate_group(
+        [GeneratorWord(3, (gen,)).matrix().reduce_mod(4) for gen in congruence_generators(3)], 3, 4
+    )
+    runs = 0
+    dimino = finitegrp._dimino
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return dimino(*args)
+
+    monkeypatch.setattr(finitegrp, "_dimino", counted)
+    start = time.monotonic()
+    subs = normal_subgroups(g)
+    elapsed = time.monotonic() - start
+    assert [s.order for s in subs] == [1, 256, 43008]
+    assert subs[1].elements == level2.elements
+    # one run per class builds each atom <C>; containment settles every join
+    assert runs == len(conjugacy_classes(g)) == 30
+    # measured on a 2-vCPU VM: ~1.3 s for the classes, ~3 s for the lattice
+    assert elapsed < 8.0
 
 
 # ---------------------------------------------------------------------------

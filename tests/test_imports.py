@@ -95,6 +95,16 @@ EXACT_SKIPS = ["dataclasses", "spheremat.words", "spheremat.finitegrp", "numpy"]
             ["dataclasses", "spheremat.words"],
             id="degree",
         ),
+        pytest.param(
+            ["enumerate", "-n", "2", "-m", "3"],
+            ["dataclasses", "spheremat.words", "spheremat.obstruction", "numpy"],
+            id="enumerate",
+        ),
+        pytest.param(
+            ["normality", "-n", "2", "-m", "4", "--power", "2"],
+            ["dataclasses", "spheremat.words", "spheremat.obstruction", "numpy"],
+            id="normality",
+        ),
     ],
 )
 def test_subcommand_loads_only_its_layers(argv, absent):

@@ -10,6 +10,7 @@ from spheremat.intmat import (
     MatrixFormatError,
     ResidueMatrix,
     _det_bareiss,
+    _square_and_multiply,
     elementary_matrix,
     format_matrix,
     hyperbolic_check,
@@ -88,6 +89,39 @@ def test_pow_negative_and_zero():
     assert e**0 == IntMatrix.identity(2)
     assert e**3 == elementary_matrix(2, 1, 2, 3)
     assert e**-2 == elementary_matrix(2, 1, 2, -2)
+
+
+def test_square_and_multiply_forms_only_used_products():
+    class Counted:
+        squarings = multiplications = 0
+
+        def __init__(self, value):
+            self.value = value
+
+        def __mul__(self, other):
+            if self is other:
+                Counted.squarings += 1
+            else:
+                Counted.multiplications += 1
+            return Counted(self.value * other.value)
+
+    for e in (*range(1, 18), 255, 256, 12345, 65536):
+        Counted.squarings = Counted.multiplications = 0
+        assert _square_and_multiply(Counted(3), e, Counted(1)).value == 3**e
+        assert Counted.squarings == e.bit_length() - 1
+        assert Counted.multiplications == bin(e).count("1")
+    Counted.squarings = Counted.multiplications = 0
+    assert _square_and_multiply(Counted(3), 0, Counted(1)).value == 1
+    assert Counted.squarings == Counted.multiplications == 0
+
+
+def test_powers_match_repeated_products():
+    a = IntMatrix([[2, 1], [1, 1]])
+    r = ResidueMatrix([[2, 1, 0], [1, 1, 3], [0, 4, 1]], 7)
+    want_a, want_r = IntMatrix.identity(2), ResidueMatrix.identity(3, 7)
+    for e in range(40):
+        assert a**e == want_a and r**e == want_r
+        want_a, want_r = want_a * a, want_r * r
 
 
 def test_reduce_mod_examples():
