@@ -252,6 +252,50 @@ def test_normal_subgroups_are_frozen():
     assert digest == "8767d2f055fb421e2f0b2ba89381ab2d0f4d475465b17a339ff0274861e48d40"
 
 
+def test_conjugacy_classes_are_frozen():
+    # digest of the ordered classes (each as its sorted rows) of small groups,
+    # and of the first normality witness of seeded subgroup/group pairs
+    groups = []
+    for m in range(2, 14):
+        groups.append(sl(2, m))
+        groups.append(enumerate_group(conjugated_elementary_generators(2, m, m), 2, m))
+    groups += [sl(3, 2), sl(3, 3)]
+    groups.append(
+        enumerate_group([ResidueMatrix([[2, 0], [0, 1]], 3), *elementary_generators_mod(2, 3)], 2, 3)
+    )
+    groups.append(enumerate_group([tau_matrix(3).reduce_mod(10**9 + 7)], 3, 10**9 + 7))
+    classes = [[sorted(x.rows for x in c) for c in conjugacy_classes(g)] for g in groups]
+    assert [len(c) for c in classes[-4:]] == [6, 12, 8, 4]
+
+    rng = random.Random(4242)
+    ambient = [
+        enumerate_group(gens, n, m)
+        for n, m in ((2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (3, 2))
+        for gens in (
+            elementary_generators_mod(n, m),
+            conjugated_elementary_generators(n, m, rng.randrange(10**6)),
+        )
+    ]
+    normal = {id(g): normal_subgroups(g) for g in ambient if g.order <= 120}
+    witnesses = []
+    for _ in range(100):
+        group = rng.choice(ambient)
+        kind = rng.randrange(3)
+        if kind == 0 and id(group) in normal:
+            sub = rng.choice(normal[id(group)])
+        elif kind == 1:
+            sub = power_subgroup(group, group.generators, rng.randint(2, 4))
+        else:
+            elems = group.sorted_elements()
+            sub = enumerate_group(rng.sample(elems, rng.randint(1, 2)), group.n, group.m)
+        pair = find_normality_violation(sub, group)
+        witnesses.append(None if pair is None else (pair[0].rows, pair[1].rows))
+    assert 20 <= witnesses.count(None) <= 80
+
+    digest = hashlib.sha256(repr((classes, witnesses)).encode()).hexdigest()
+    assert digest == "3fb1e73e26c8f11b93f96753f082c982d6a0d5f9629cb6c70c1272e03a2893b7"
+
+
 def test_normal_subgroups_sl2_z13_budget():
     g = sl(2, 13)
     start = time.monotonic()
