@@ -60,6 +60,11 @@ def _square_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return frozen
 
 
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    zero = (0,) * n
+    return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
+
+
 def _square_and_multiply(base, exponent: int, one):
     """base**exponent for exponent >= 0, multiplying onto `one` from the right.
 
@@ -86,7 +91,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(_identity_rows(n))
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
@@ -229,7 +234,11 @@ class ResidueMatrix:
 
     @classmethod
     def identity(cls, n: int, m: int) -> "ResidueMatrix":
-        return cls(IntMatrix.identity(n).rows, m)
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
+        if m < 2:
+            raise ValueError("modulus must be at least 2")
+        return cls._trusted(_identity_rows(n), m)
 
     def lift(self) -> IntMatrix:
         """Integer matrix with entries in 0..m-1."""
@@ -267,7 +276,7 @@ class ResidueMatrix:
         return _square_and_multiply(self, exponent, ResidueMatrix.identity(self.n, self.m))
 
     def is_identity(self) -> bool:
-        return self.rows == ResidueMatrix.identity(self.n, self.m).rows
+        return self.rows == _identity_rows(self.n)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -9,11 +10,13 @@ import sys
 import warnings
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spheremat
 from spheremat.cli import main
 from spheremat.finitegrp import GroupSizeLimitError
 from spheremat.intmat import IntMatrix, elementary_matrix, format_matrix, tau_matrix
@@ -833,10 +836,14 @@ def test_text_format_renders_rows(capsys, write_matrix):
 
 
 def test_console_entry_point_runs():
+    # the child interpreter gets this checkout's src on its path, as in test_imports
+    src = str(Path(spheremat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "spheremat.cli", "quat-witness"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["confirmed"] is True

@@ -476,6 +476,66 @@ def test_enumeration_classes_and_normal_subgroups_match_naive_bfs():
     assert checked["normal"] >= 40
 
 
+def naive_orbit_classes(table):
+    """Rows of each class as an orbit under dense conjugation by the
+    generators, seeds taken in sorted row order."""
+    m = table.m
+    pairs = [(g.rows, naive_inverse(g.rows, m)) for g in table.generators]
+    remaining = {x.rows for x in table.elements}
+    classes = []
+    for seed in sorted(remaining):
+        if seed not in remaining:
+            continue
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            for g, g_inv in pairs:
+                y = dense_mul(dense_mul(g, x, m), g_inv, m)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        remaining -= orbit
+        classes.append(orbit)
+    return classes
+
+
+@pytest.mark.parametrize(
+    "n, m, u, seed",
+    [(1, 2, 1, 0), (1, 3, 2, 0), (1, 5, 2, 0), (2, 5, 2, 0), (2, 9, 8, 0),
+     (3, 2, 1, 0), (3, 6, 5, 6), (4, 3, 2, 0), (4, 5, 4, 0), (5, 4, 3, 1)],
+)
+def test_classes_where_packed_fields_are_full(n, m, u, seed):
+    # n(m-1) is a power of two or one less, so a field of a conjugation sum
+    # can fill all B = bit_length(n(m-1)) bits; the seeds are ones where it does
+    h = random_unit_matrix(random.Random(seed), n, m)
+    h_inv = h.inverse()
+    cycle = ResidueMatrix([[int(c == (r + 1) % n) for c in range(n)] for r in range(n)], m)
+    scale = ResidueMatrix([[(u if r == 0 else 1) * (r == c) for c in range(n)] for r in range(n)], m)
+    table = enumerate_group([h * cycle * h_inv, h * scale * h_inv], n, m)
+    got = conjugacy_classes(table)
+    assert [{x.rows for x in c} for c in got] == naive_orbit_classes(table)
+    # every element as a generator: the same classes, and the widest sums
+    whole = enumerate_group(table.sorted_elements(), n, m)
+    assert conjugacy_classes(whole) == got
+    kernel = finitegrp._Conjugation(whole.elements, n, m)
+    by = [kernel.tables(g) for g in whole.generators]
+    for x in kernel.elements:
+        kernel(x, by)
+    low = (1 << kernel.bits) - 1
+    fields = {row >> shift & low for row in kernel.reduced for shift in range(0, kernel.width, kernel.bits)}
+    assert max(fields) == n * (m - 1) < 2**kernel.bits
+
+
+def test_classes_of_a_table_with_every_element_as_generator():
+    # `normal_subgroups` returns the whole SL_2(Z_8) with its 384 elements as generators
+    g = sl(2, 8)
+    whole = normal_subgroups(g)[-1]
+    assert len(whole.generators) == whole.order == 384
+    assert conjugacy_classes(whole) == conjugacy_classes(g)
+    assert is_normal(whole, g) and is_normal(g, whole)
+
+
 def conjugated_elementary_generators(n, m, seed):
     """The elementary generators conjugated by a seeded h: still SL_n(Z_m)."""
     h = random_unit_matrix(random.Random(seed), n, m, det_one=True)
