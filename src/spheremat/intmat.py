@@ -61,6 +61,7 @@ def _square_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity as row tuples, unchecked."""
     zero = (0,) * n
     return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
 
