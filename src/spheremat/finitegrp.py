@@ -104,12 +104,12 @@ class _Conjugation:
 
     With B = bit_length(n(m-1)) and W = nB, a matrix's code is its rows, the
     first most significant, each row W bits of B-bit entries. So code order is
-    row order. Write x_k for row k of x; then g x g^-1 = sum_k col_k(g) (x)
-    (x_k g^-1). `tables(g)` maps, for each column k of g, a row code r to the
-    packed outer product col_k(g) (x) (r g^-1), each entry reduced mod m. A
-    conjugation adds n such lookups. Every field of the sum is at most
-    n(m-1) < 2^B, so no carry crosses a field, and a memo shared by all
-    generators reduces each W-bit row of the sum mod m.
+    row order. With x_k row k of x, g x g^-1 is the sum over k of the outer
+    products outer(col_k(g), x_k g^-1). `tables(g)` maps, for each column k
+    of g, a row code r to the packed outer(col_k(g), r g^-1), each entry
+    reduced mod m. A conjugation adds n such lookups. Every field of the sum
+    is at most n(m-1) < 2^B, so no carry crosses a field, and a memo shared
+    by all generators reduces each W-bit row of the sum mod m.
 
     The tables cover the distinct rows of `elements`, never all m^n vectors,
     so every x conjugated must have its rows among theirs, as the elements
