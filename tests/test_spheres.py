@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from spheremat.spheres import (
 )
 from spheremat.subgroups import random_sln
 from spheremat.words import E, GeneratorWord, J, decompose_sln, symbol_matrix
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +455,75 @@ def test_induced_rejects_bad_maps():
 
     with pytest.raises(PhaseAmbiguityError):
         induced_matrix_on_torus(half_winding, 1)
+
+
+def test_vanished_coordinate_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="image coordinate vanished"):
+            induced_matrix_on_torus(lambda z: 0.0 * z, 1)
+
+
+def test_earlier_coordinate_error_takes_precedence():
+    # coordinate 1 turns by pi/2 + 0.1 per step while coordinate 2 vanishes:
+    # the checks run coordinate by coordinate, so coordinate 1 is reported
+    def jump_then_zero(z):
+        out = np.array(z, dtype=complex)
+        steps = np.arange(out.shape[0])
+        out[:, 0] = np.exp(1j * (np.pi / 2 + 0.1) * steps)
+        out[:, 1] = 0.0
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhaseAmbiguityError, match=r"^phase jump too close to pi on loop 1, coordinate 1;"):
+            induced_matrix_on_torus(jump_then_zero, 2)
+
+
+def _induced_outcome(fn, n, resolution):
+    try:
+        return repr(induced_matrix_on_torus(fn, n, resolution=resolution).rows)
+    except (ValueError, PhaseAmbiguityError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_induced_outcomes_are_frozen():
+    # digest of the ordered outcomes (rows, or "Type: message") of seeded
+    # monomial maps with small, wide (past resolution/4, so the known
+    # aliasing shows) and 256-multiple entries, composites and the two
+    # reflection-shear constructions, at resolutions 256 and 1024
+    rng = random.Random(1515)
+    outcomes = []
+    for resolution in (256, 1024):
+        cases = []
+        for n in (1, 2, 3, 4):
+            for _ in range(25):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                cases.append((p_a_torus_map(IntMatrix(rows)), n))
+            for _ in range(8):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1)) * rng.randint(
+                    resolution // 4 + 1, 2 * resolution
+                )
+                cases.append((p_a_torus_map(IntMatrix(rows)), n))
+        for b in [256 * k for k in range(1, 9)] + [255, 257, 1000, 3000]:
+            for e in (b, -b):
+                cases.append((p_a_torus_map(IntMatrix([[e]])), 1))
+                cases.append((p_a_torus_map(IntMatrix([[1, e], [0, 1]])), 2))
+        for n in (2, 3):
+            for _ in range(4):
+                a, b = (
+                    IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+                    for _ in range(2)
+                )
+                cases.append((compose_maps(p_a_torus_map(a), p_a_torus_map(b)), n))
+            shear = reflection_shear_torus_map(n)
+            cases.append((shear, n))
+            cases.append((compose_maps(shear, slot_conjugation_torus_map(1, n)), n))
+        outcomes += [_induced_outcome(fn, n, resolution) for fn, n in cases]
+    assert sum(o.startswith("((") for o in outcomes) > len(outcomes) // 2
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "6d161c42f64a7f84e157b424b2a47e3da60cdb50f160946aaa7f8df8d8fbe936"
 
 
 def test_check_unit_point_tolerance():
