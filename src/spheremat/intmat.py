@@ -69,7 +69,8 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
 def _square_and_multiply(base, exponent: int, one):
     """base**exponent for exponent >= 0, multiplying onto `one` from the right.
 
-    Shared by the integer, residue and algebra-element powers.
+    Shared by the integer, residue and algebra-element powers, and by the
+    monomial torus maps on arrays of unit complex numbers.
     """
     result = one
     while True:

@@ -19,7 +19,9 @@ of S^k with Monte Carlo sampling, using geodesic central differences and
 Householder tangent frames with a fixed orientation convention, so the
 identity map comes out at +1. `induced_matrix_on_torus` recovers the
 integer matrix a self-map of (S^1)^n induces on first homology by
-accumulating phase along basis loops.
+accumulating phase along basis loops: one map call per loop, then one
+vectorized check of all n image coordinates. `p_a_torus_map` raises
+coordinates to their integer powers by square-and-multiply.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ if TYPE_CHECKING:
     from .words import GeneratorWord
 
 UNIT_TOL = 1e-9
+
+# Peak traced memory of a winding measurement of a monomial map is 88-128 B
+# per sample and image coordinate (tracemalloc, resolution 2^16, n = 1..6),
+# and the n x n result lists and tuples take 16 B per entry. Measurements
+# whose estimate passes the cap are refused before anything is allocated.
+_WINDING_BYTES_PER_SAMPLE = 128
+_MAX_WINDING_BYTES = 2**30
 
 
 class PhaseAmbiguityError(RuntimeError):
@@ -339,31 +348,44 @@ def induced_matrix_on_torus(
         raise ValueError("torus dimension must be at least 1")
     if resolution < 256:
         raise ValueError("resolution below 256 cannot be trusted")
-    thetas = np.linspace(0.0, 2.0 * np.pi, resolution + 1)
+    estimate = (resolution + 1) * n * _WINDING_BYTES_PER_SAMPLE + 16 * n * n
+    if estimate > _MAX_WINDING_BYTES:
+        mib = -(-estimate >> 20)  # rounded up in integers: the estimate may pass the float range
+        raise ValueError(
+            f"resolution {resolution} at n = {n} needs about {mib} MiB, "
+            f"over the cap of {_MAX_WINDING_BYTES >> 20} MiB"
+        )
+    circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, resolution + 1))
     rows = [[0] * n for _ in range(n)]
     for j in range(n):
         z = np.ones((resolution + 1, n), dtype=complex)
-        z[:, j] = np.exp(1j * thetas)
+        z[:, j] = circle
         w = np.asarray(map_fn(z), dtype=complex)
         if w.shape != z.shape:
             raise ValueError("torus map must preserve the point-tuple shape")
-        for s in range(n):
-            col = w[:, s]
-            if np.any(np.abs(col) < 1e-12):
-                raise ValueError("image coordinate vanished; winding undefined")
-            steps = np.angle(col[1:] / col[:-1])
-            if float(np.max(np.abs(steps))) > np.pi / 2:
+        # one row per image coordinate; rows are checked in order, and only
+        # those before the first vanished one are divided
+        wt = np.ascontiguousarray(w.T)
+        vanished = np.flatnonzero((np.abs(wt) < 1e-12).any(axis=1))
+        live = int(vanished[0]) if vanished.size else n
+        steps = np.angle(wt[:live, 1:] / wt[:live, :-1])
+        jumps = np.abs(steps).max(axis=1)
+        sums = steps.sum(axis=1)  # the last axis is contiguous: pairwise, as a 1-D sum
+        for s in range(live):
+            if float(jumps[s]) > np.pi / 2:
                 raise PhaseAmbiguityError(
                     f"phase jump too close to pi on loop {j + 1}, coordinate {s + 1}; "
                     "raise the resolution"
                 )
-            winding = float(np.sum(steps)) / (2.0 * np.pi)
+            winding = float(sums[s]) / (2.0 * np.pi)
             nearest = round(winding)
             if abs(winding - nearest) > 0.01:
                 raise PhaseAmbiguityError(
                     f"winding {winding:.6f} is not close to an integer"
                 )
             rows[s][j] = int(nearest)
+        if live < n:
+            raise ValueError("image coordinate vanished; winding undefined")
     return IntMatrix(rows)
 
 
@@ -390,7 +412,8 @@ def p_a_torus_map(a: IntMatrix) -> Callable[[np.ndarray], np.ndarray]:
             for col in range(a.n):
                 e = a.rows[s][col]
                 if e:
-                    acc = acc * zz[..., col] ** e
+                    base = zz[..., col] if e > 0 else 1.0 / zz[..., col]
+                    acc = _square_and_multiply(base, abs(e), acc)
             out[..., s] = acc
         return out
 

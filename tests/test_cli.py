@@ -482,6 +482,17 @@ def test_induced_construction_below_two_factors_is_input_error(capsys, n, constr
     assert captured.err == "error: need at least two circle factors\n"
 
 
+def test_induced_resolution_past_the_memory_cap_is_input_error(capsys):
+    argv = ["induced", "--n", "2", "--construction", "reflection-shear", "--resolution", str(10**12)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: resolution 1000000000000 at n = 2 needs about 244140626 MiB, "
+        "over the cap of 1024 MiB\n"
+    )
+
+
 def test_induced_phase_ambiguity_is_verification_failure(capsys, monkeypatch, write_matrix):
     import spheremat.spheres as spheres
 

@@ -480,6 +480,20 @@ def test_earlier_coordinate_error_takes_precedence():
             induced_matrix_on_torus(jump_then_zero, 2)
 
 
+def test_induced_refuses_resolutions_past_the_memory_cap():
+    def never_called(z):
+        raise AssertionError("the map ran")
+
+    with pytest.raises(ValueError, match=r"^resolution 1000000000000 at n = 2 needs about 244140626 MiB, over the cap of 1024 MiB$"):
+        induced_matrix_on_torus(never_called, 2, resolution=10**12)
+    # the samples fit here, but the 30000 x 30000 result would not
+    with pytest.raises(ValueError, match=r"^resolution 256 at n = 30000 needs about 14675 MiB"):
+        induced_matrix_on_torus(never_called, 30_000, resolution=256)
+    # one past the largest resolution allowed on two circles, 2^22 - 2
+    with pytest.raises(ValueError, match="over the cap"):
+        induced_matrix_on_torus(never_called, 2, resolution=2**22 - 1)
+
+
 def _induced_outcome(fn, n, resolution):
     try:
         return repr(induced_matrix_on_torus(fn, n, resolution=resolution).rows)
