@@ -9,6 +9,7 @@ import pytest
 
 from spheremat import finitegrp
 from spheremat.finitegrp import (
+    FiniteGroupTable,
     GroupSizeLimitError,
     conjugacy_classes,
     coset_representatives,
@@ -655,3 +656,84 @@ def test_index_check_passes():
 def test_index_check_rejects_out_of_range():
     with pytest.raises(ValueError):
         index_check(5)
+
+
+# ---------------------------------------------------------------------------
+# element sets: what a caller may do with `elements` and with classes
+# ---------------------------------------------------------------------------
+
+def test_element_sets_behave_as_frozensets_of_residue_matrices():
+    g = sl(2, 3)
+    whole = frozenset(ResidueMatrix(rows, 3) for rows in naive_closure(g.generators, 2, 3, 100))
+    assert g.elements == whole and whole == g.elements
+    assert not g.elements != whole and not whole != g.elements
+    assert hash(g.elements) == hash(whole)
+    assert len(g.elements) == g.order == 24
+    assert FiniteGroupTable(2, 3, g.generators, whole) == g
+    assert hash(FiniteGroupTable(2, 3, g.generators, whole)) == hash(g) == hash(sl(2, 3))
+    assert g.elements != sl(2, 2).elements and g.elements != sl(2, 4).elements
+
+    # membership: a foreign or mismatched object is absent, never an error
+    assert ResidueMatrix([[1, 1], [0, 1]], 3) in g and ResidueMatrix([[1, 1], [0, 1]], 3) in g.elements
+    for foreign in (
+        IntMatrix.identity(2),
+        ((1, 0), (0, 1)),
+        ResidueMatrix.identity(2, 4),
+        ResidueMatrix.identity(3, 3),
+        ResidueMatrix([[2, 0], [0, 1]], 3),
+    ):
+        assert foreign not in g
+        assert foreign not in g.elements
+
+    # order relations between tables, and with plain frozensets either side
+    sub = enumerate_group([ResidueMatrix([[1, 1], [0, 1]], 3)], 2, 3)
+    plain = frozenset(sub.sorted_elements())
+    assert sub.elements <= g.elements and sub.elements < g.elements
+    assert not g.elements <= sub.elements and g.elements >= sub.elements
+    assert sub.elements <= whole and plain <= g.elements and plain < g.elements
+    assert sub.elements <= sub.elements and sub.elements == plain and plain == sub.elements
+
+    # set operators give plain frozensets of the same elements
+    for got, want in (
+        (g.elements & sub.elements, plain),
+        (sub.elements | g.elements, whole),
+        (g.elements - sub.elements, whole - plain),
+        (g.elements ^ plain, whole - plain),
+        (plain & g.elements, plain),
+    ):
+        assert type(got) is frozenset and got == want
+
+    # sorted_elements: residue matrices in row order
+    elems = g.sorted_elements()
+    assert elems == sorted(whole, key=lambda r: r.rows)
+    assert all(type(x) is ResidueMatrix and x.m == 3 and x.n == 2 for x in elems)
+
+    # normal subgroups, compared as sets of frozensets
+    subs = normal_subgroups(g)
+    want = {frozenset(s.generators) for s in subs}
+    assert {s.elements for s in subs} == want and want == {s.elements for s in subs}
+
+    # a small table's repr
+    minus = enumerate_group([ResidueMatrix([[2, 0], [0, 2]], 3)], 2, 3)
+    assert repr(minus) == (
+        "FiniteGroupTable(n=2, m=3, generators=(ResidueMatrix([[2, 0], [0, 2]], m=3),), "
+        "elements=frozenset({ResidueMatrix([[1, 0], [0, 1]], m=3), ResidueMatrix([[2, 0], [0, 2]], m=3)}))"
+    )
+    assert repr(enumerate_group([], 2, 3)) == (
+        "FiniteGroupTable(n=2, m=3, generators=(), "
+        "elements=frozenset({ResidueMatrix([[1, 0], [0, 1]], m=3)}))"
+    )
+
+
+def test_conjugacy_classes_compare_as_frozensets_of_residue_matrices():
+    for n, m in ((2, 3), (2, 5), (3, 2)):
+        g = sl(n, m)
+        classes = conjugacy_classes(g)
+        want = [frozenset(ResidueMatrix(rows, m) for rows in c) for c in naive_orbit_classes(g)]
+        assert classes == want and want == classes
+        for got, plain in zip(classes, want):
+            assert hash(got) == hash(plain) and len(got) == len(plain)
+            assert set(got) == plain and got <= g.elements
+            assert min(plain, key=lambda r: r.rows) in got
+            assert ResidueMatrix.identity(n, m + 1) not in got and () not in got
+        assert frozenset([ResidueMatrix.identity(n, m)]) in classes
