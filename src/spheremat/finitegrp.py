@@ -1,7 +1,7 @@
 """Coset enumeration of matrix groups over Z_m, plus structure checks.
 
-Everything here is desk scale: groups are held as hash sets of residue
-matrices, under a size cap so a typo in the modulus fails fast.
+Everything here is desk scale: groups are held as hash sets of row tuples,
+under a size cap so a typo in the modulus fails fast.
 
 Two layouts serve two jobs, both for the orbit algorithms of Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory* (2005), ch. 4.
@@ -22,7 +22,11 @@ Conjugation runs on packed integer codes (`_Conjugation`), where
 x -> g x g^-1 is n table lookups, n - 1 integer adds and n memo lookups, and
 an orbit is a set of ints. `conjugacy_classes` and `find_normality_violation`
 build one per call, over the distinct rows of the elements they conjugate.
-Rows become `ResidueMatrix` once, at the API boundary, without re-validation.
+
+A table's `elements` and each conjugacy class are `_Elements` views over a
+frozenset of row tuples. Membership, size and comparisons between views
+touch rows only; a row tuple becomes a `ResidueMatrix`, without
+re-validation, only when a caller iterates, and again on each iteration.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections.abc import Set
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from ._record import record
@@ -48,29 +54,81 @@ _Rows = tuple[tuple[int, ...], ...]
 _Tables = list[tuple[dict[int, int], int]]  # see `_Conjugation.tables`
 
 
+class _Elements(Set):
+    """A read-only set of `ResidueMatrix` held as the frozenset `rows` of
+    their row tuples, all over Z_m.
+
+    Size, membership, and `<=` or `==` against another view touch rows only,
+    so a lookup is one hash of nested int tuples. Iteration wraps each row
+    tuple as it goes. Equality and the hash agree with a frozenset of the
+    same matrices, and the set operators return frozensets.
+    """
+
+    __slots__ = ("rows", "m")
+
+    def __init__(self, rows: frozenset[_Rows], m: int):
+        self.rows = rows
+        self.m = m
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __contains__(self, x: object) -> bool:
+        return isinstance(x, ResidueMatrix) and x.m == self.m and x.rows in self.rows
+
+    def __iter__(self):
+        return map(ResidueMatrix._trusted, self.rows, repeat(self.m))
+
+    def __le__(self, other):
+        if isinstance(other, _Elements):
+            return self.m == other.m and self.rows <= other.rows
+        return Set.__le__(self, other)
+
+    def __eq__(self, other):
+        if isinstance(other, _Elements):
+            return self.m == other.m and self.rows == other.rows
+        return Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        # `Set._hash`, in C: a frozenset's hash depends only on its members'
+        # hashes, and a ResidueMatrix hashes as its (m, rows).
+        return hash(frozenset(zip(repeat(self.m), self.rows)))
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[ResidueMatrix]) -> frozenset[ResidueMatrix]:
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+
 @record
 class FiniteGroupTable:
     """A finite matrix group over Z_m held in memory.
 
-    `elements` is a frozenset of `ResidueMatrix`, so membership is one hash
-    lookup. The elements of a table built by `enumerate_group` share their
-    row tuples: a row that occurs in many elements is stored once.
+    `elements` is a set of `ResidueMatrix`. A table built here holds an
+    `_Elements` view over the row tuples `_dimino` formed, so membership is
+    one hash lookup of rows, and a row that occurs in many elements is
+    stored once. Iterating it builds the `ResidueMatrix` objects.
     """
 
     n: int
     m: int
     generators: tuple[ResidueMatrix, ...]
-    elements: frozenset[ResidueMatrix]
+    elements: Set[ResidueMatrix]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: ResidueMatrix) -> bool:
+    def __contains__(self, x: object) -> bool:
         return x in self.elements
 
     def sorted_elements(self) -> list[ResidueMatrix]:
-        return sorted(self.elements, key=lambda r: r.rows)
+        elements = self.elements
+        if isinstance(elements, _Elements):  # sort the rows, then wrap
+            return list(map(ResidueMatrix._trusted, sorted(elements.rows), repeat(elements.m)))
+        return sorted(elements, key=operator.attrgetter("rows"))
 
 
 def _image(vecs: _Rows, cols: _Rows, memo: dict, m: int) -> _Rows:
@@ -113,20 +171,25 @@ class _Conjugation:
 
     The tables cover the distinct rows of `elements`, never all m^n vectors,
     so every x conjugated must have its rows among theirs, as the elements
-    and their conjugates within the group do.
+    and their conjugates within the group do. `self.elements` maps each
+    element's code to its row tuple.
     """
 
-    def __init__(self, elements: Iterable[ResidueMatrix], n: int, m: int):
+    def __init__(self, elements: Set[ResidueMatrix], n: int, m: int):
         self.m = m
         self.bits = (n * (m - 1)).bit_length()
         self.width = width = n * self.bits
         self.mask = (1 << width) - 1
         self.shifts = [width * (n - 1 - k) for k in range(n)]  # of row k in a code
         self.rows: dict[tuple[int, ...], int] = {}  # each distinct row -> its code
-        self.elements: dict[int, ResidueMatrix] = {}  # code -> element
+        self.elements: dict[int, _Rows] = {}  # code -> the element's rows
+        if isinstance(elements, _Elements):
+            elements = elements.rows
+        else:  # a table built by the caller, with a set of ResidueMatrix
+            elements = [x.rows for x in elements]
         for x in elements:
             code = 0
-            for r in x.rows:
+            for r in x:
                 c = self.rows.get(r)
                 if c is None:
                     c = self.rows[r] = _pack(r, self.bits)
@@ -217,12 +280,8 @@ def _dimino(gen_rows: Sequence[_Rows], n: int, m: int, max_size: int) -> list[_R
 
 def _table(gens: Sequence[ResidueMatrix], n: int, m: int, max_size: int) -> FiniteGroupTable:
     """The table of <gens> (see `_dimino`); their determinants must be units."""
-    found = _dimino([g.rows for g in gens], n, m, max_size)
-    # `_dimino` has freed its membership set, which lowers the peak. A fresh outer
-    # tuple per element (rows shared) sits next to its ResidueMatrix; lookups ran
-    # ~6% faster with it (groups benchmark, 2-vCPU VM), at +64 B per element.
-    elements = frozenset(ResidueMatrix._trusted(tuple([*rows]), m) for rows in found)
-    return FiniteGroupTable(n=n, m=m, generators=tuple(gens), elements=elements)
+    rows = frozenset(_dimino([g.rows for g in gens], n, m, max_size))
+    return FiniteGroupTable(n=n, m=m, generators=tuple(gens), elements=_Elements(rows, m))
 
 
 def enumerate_group(
@@ -249,12 +308,17 @@ def power_subgroup(
     t: int,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> FiniteGroupTable:
-    """The subgroup generated by all t-th powers of elements of <subgroup_generators>."""
+    """The subgroup generated by all t-th powers of elements of <subgroup_generators>.
+
+    When those are the group's own generators, the group's table is reused."""
     if t < 1:
         raise ValueError("power must be positive")
-    sub = enumerate_group(subgroup_generators, group.n, group.m, max_size=max_size)
-    if not sub.elements <= group.elements:
-        raise ValueError("given generators do not lie inside the ambient group")
+    if tuple(subgroup_generators) == group.generators and group.order <= max_size:
+        sub = group
+    else:
+        sub = enumerate_group(subgroup_generators, group.n, group.m, max_size=max_size)
+        if not sub.elements <= group.elements:
+            raise ValueError("given generators do not lie inside the ambient group")
     # powers of checked elements: their determinants are units
     powers = sorted({x ** t for x in sub.elements}, key=lambda r: r.rows)
     return _table(powers, group.n, group.m, max_size)
@@ -287,13 +351,15 @@ def is_normal(subgroup: FiniteGroupTable, group: FiniteGroupTable) -> bool:
     return find_normality_violation(subgroup, group) is None
 
 
-def conjugacy_classes(group: FiniteGroupTable) -> list[frozenset[ResidueMatrix]]:
+def conjugacy_classes(group: FiniteGroupTable) -> list[Set[ResidueMatrix]]:
     """Conjugacy classes as orbits of conjugation by the generators, in order
-    of their smallest rows; each class holds the table's own elements.
+    of their smallest rows; each class is an `_Elements` view over the row
+    tuples of its members, which compares and hashes as a frozenset.
 
     The orbits are sets of `_Conjugation` codes. Code order is row order, so
     the seeds are taken in sorted code order."""
-    conjugate = _Conjugation(group.elements, group.n, group.m)
+    m = group.m
+    conjugate = _Conjugation(group.elements, group.n, m)
     by = [conjugate.tables(g) for g in group.generators]
     remaining = conjugate.elements
     classes = []
@@ -307,7 +373,7 @@ def conjugacy_classes(group: FiniteGroupTable) -> list[frozenset[ResidueMatrix]]
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-        classes.append(frozenset(map(remaining.pop, orbit)))
+        classes.append(_Elements(frozenset(map(remaining.pop, orbit)), m))
     return classes
 
 
@@ -325,7 +391,7 @@ def normal_subgroups(group: FiniteGroupTable) -> list[FiniteGroupTable]:
     n, m = group.n, group.m
     atoms = {}  # <C> -> the rows of the first class C that generates it
     for cls in conjugacy_classes(group):
-        rows = [x.rows for x in cls]  # rows of table elements: unit determinants
+        rows = list(cls.rows)  # rows of table elements: unit determinants
         atoms.setdefault(frozenset(_dimino(rows, n, m, group.order)), rows)
     todo = [frozenset([ResidueMatrix.identity(n, m).rows])]
     lattice = set(todo)
@@ -337,10 +403,11 @@ def normal_subgroups(group: FiniteGroupTable) -> list[FiniteGroupTable]:
             if joined not in lattice:
                 lattice.add(joined)
                 todo.append(joined)
-    wrap = {x.rows: x for x in group.elements}
-    subs = sorted((sorted(sub) for sub in lattice), key=lambda rows: (len(rows), rows))
-    gens = [tuple(wrap[x] for x in rows) for rows in subs]
-    return [FiniteGroupTable(n, m, g, frozenset(g)) for g in gens]
+    subs = sorted(((sorted(sub), sub) for sub in lattice), key=lambda s: (len(s[0]), s[0]))
+    return [
+        FiniteGroupTable(n, m, tuple(map(ResidueMatrix._trusted, rows, repeat(m))), _Elements(sub, m))
+        for rows, sub in subs
+    ]
 
 
 def elementary_generators_mod(n: int, m: int) -> list[ResidueMatrix]:

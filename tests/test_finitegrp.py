@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -737,3 +738,50 @@ def test_conjugacy_classes_compare_as_frozensets_of_residue_matrices():
             assert min(plain, key=lambda r: r.rows) in got
             assert ResidueMatrix.identity(n, m + 1) not in got and () not in got
         assert frozenset([ResidueMatrix.identity(n, m)]) in classes
+
+
+def test_sl3_z4_table_keeps_at_most_140_bytes_per_element():
+    # A table keeps the row tuples `_dimino` formed, with rows shared between
+    # elements, and builds no ResidueMatrix per element: ~113 B per element
+    # kept, against ~172 B when every element was wrapped (tracemalloc).
+    gens = elementary_generators_mod(3, 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = enumerate_group(gens, 3, 4)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.order == 43008
+    assert kept / table.order <= 140
+
+
+def test_power_subgroup_of_the_group_generators_reuses_the_table(monkeypatch):
+    g = sl(2, 5)
+    want = power_subgroup(g, g.generators[::-1], 2)  # another order: enumerated again
+    runs = 0
+    dimino = finitegrp._dimino
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return dimino(*args)
+
+    monkeypatch.setattr(finitegrp, "_dimino", counted)
+    got = power_subgroup(g, list(g.generators), 2)
+    assert runs == 1  # the powers' closure only
+    assert got == want and got.order == 120
+    # a cap below the group's order still refuses, as enumerating would
+    with pytest.raises(GroupSizeLimitError):
+        power_subgroup(g, g.generators, 2, max_size=119)
+
+
+def test_a_table_built_from_a_plain_frozenset_answers_the_same_queries():
+    g = sl(2, 4)
+    plain = FiniteGroupTable(2, 4, g.generators, frozenset(g.elements))
+    assert plain == g and plain.sorted_elements() == g.sorted_elements()
+    assert ResidueMatrix([[1, 1], [0, 1]], 4) in plain and IntMatrix.identity(2) not in plain
+    assert conjugacy_classes(plain) == conjugacy_classes(g)
+    assert normal_subgroups(plain) == normal_subgroups(g)
+    sub = power_subgroup(g, g.generators, 2)
+    assert find_normality_violation(sub, plain) is None and is_normal(plain, g)
