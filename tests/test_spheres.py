@@ -369,6 +369,42 @@ def test_degree_accepts_negative_step():
     assert round(backward[0]) == -1  # the antipodal map of S^2
 
 
+def _circle_power_map(r):
+    def apply(pts):
+        w = (pts[:, 0] + 1j * pts[:, 1]) ** r
+        return np.stack([w.real, w.imag], axis=1)
+
+    return apply
+
+
+def test_degree_outputs_are_frozen(capsys):
+    # digest of repr(estimate) and repr(stderr) for the identity, antipodal
+    # and psi maps on S^1..S^4 and the circle power maps z^-3 and z^7, at
+    # sample counts on both sides of multiples of 4096 and 8192, then of the
+    # CLI's stdout for `degree --k 3 --map psi` at its default 100 000
+    # samples; estimates computed over sample blocks must keep every bit
+    from spheremat.cli import main
+
+    cases = []
+    for k in (1, 2, 3, 4):
+        base = np.zeros(k + 1)
+        base[0] = 1.0
+        cases += [(lambda pts: pts, k), (antipodal_map, k), (psi_map(base), k)]
+    cases += [(_circle_power_map(-3), 1), (_circle_power_map(7), 1)]
+    counts = [1000, 50_000, 100_000]
+    for block in (4096, 8192):
+        counts += [block - 1, block, block + 1, 3 * block + 17]
+    outcomes = []
+    for seed, (fn, k) in enumerate(cases):
+        for count in counts:
+            est, err = degree_estimate_details(fn, k, count, seed=seed)
+            outcomes.append(f"{k} {count} {est!r} {err!r}")
+    assert main(["degree", "--k", "3", "--map", "psi"]) == 0
+    outcomes.append(capsys.readouterr().out)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "e6047acc366dd4bf5d17a15b6d5d9fe5055617169e37e076210effc001ad9244"
+
+
 # ---------------------------------------------------------------------------
 # induced matrices on torus factors
 # ---------------------------------------------------------------------------
