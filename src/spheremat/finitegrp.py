@@ -64,11 +64,12 @@ class _Elements(Set):
     same matrices, and the set operators return frozensets.
     """
 
-    __slots__ = ("rows", "m")
+    __slots__ = ("rows", "m", "_hash")
 
     def __init__(self, rows: frozenset[_Rows], m: int):
         self.rows = rows
         self.m = m
+        self._hash = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -91,8 +92,11 @@ class _Elements(Set):
 
     def __hash__(self) -> int:
         # `Set._hash`, in C: a frozenset's hash depends only on its members'
-        # hashes, and a ResidueMatrix hashes as its (m, rows).
-        return hash(frozenset(zip(repeat(self.m), self.rows)))
+        # hashes, and a ResidueMatrix hashes as its (m, rows). Formed once,
+        # as a frozenset keeps its own.
+        if self._hash is None:
+            self._hash = hash(frozenset(zip(repeat(self.m), self.rows)))
+        return self._hash
 
     @classmethod
     def _from_iterable(cls, it: Iterable[ResidueMatrix]) -> frozenset[ResidueMatrix]:

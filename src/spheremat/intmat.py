@@ -66,16 +66,18 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
 
 
-def _square_and_multiply(base, exponent: int, one):
+def _square_and_multiply(base, exponent: int, one=None):
     """base**exponent for exponent >= 0, multiplying onto `one` from the right.
 
+    Without `one` the exponent must be at least 1, and the result starts as
+    the lowest power of `base` it needs instead of as a product with `one`.
     Shared by the integer, residue and algebra-element powers, and by the
     monomial torus maps on arrays of unit complex numbers.
     """
     result = one
     while True:
         if exponent & 1:
-            result = result * base
+            result = base if result is None else result * base
         exponent >>= 1
         if not exponent:
             return result
@@ -111,7 +113,9 @@ class IntMatrix:
     def __pow__(self, exponent: int) -> "IntMatrix":
         if exponent < 0:
             return self.inverse_unimodular() ** (-exponent)
-        return _square_and_multiply(self, exponent, IntMatrix.identity(self.n))
+        if exponent == 0:
+            return IntMatrix.identity(self.n)
+        return _square_and_multiply(self, exponent)
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
@@ -275,7 +279,9 @@ class ResidueMatrix:
     def __pow__(self, exponent: int) -> "ResidueMatrix":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return _square_and_multiply(self, exponent, ResidueMatrix.identity(self.n, self.m))
+        if exponent == 0:
+            return ResidueMatrix.identity(self.n, self.m)
+        return _square_and_multiply(self, exponent)
 
     def is_identity(self) -> bool:
         return self.rows == _identity_rows(self.n)

@@ -39,12 +39,36 @@ if TYPE_CHECKING:
 
 UNIT_TOL = 1e-9
 
+# Measurements whose memory estimate passes this cap are refused before
+# anything is allocated.
+_MAX_MEASUREMENT_BYTES = 2**30
+
 # Peak traced memory of a winding measurement of a monomial map is 88-128 B
 # per sample and image coordinate (tracemalloc, resolution 2^16, n = 1..6),
-# and the n x n result lists and tuples take 16 B per entry. Measurements
-# whose estimate passes the cap are refused before anything is allocated.
+# and the n x n result lists and tuples take 16 B per entry.
 _WINDING_BYTES_PER_SAMPLE = 128
-_MAX_WINDING_BYTES = 2**30
+
+# Degree estimates form tangent frames, difference quotients and Jacobians
+# over blocks of this many samples. Peak traced memory on S^k (tracemalloc,
+# psi and antipodal maps, k = 1..32) is at most 24(k+1) + 16 B per sample
+# for the arrays held whole (the samples, their images, norms and
+# determinants, and the temporaries of the draw and of the norms), plus
+# 8(k+1)(3k+8) B per sample of one block.
+_DEGREE_BLOCK = 4096
+
+
+def _degree_bytes(k: int, sample_count: int) -> int:
+    whole = sample_count * (24 * (k + 1) + 16)
+    return whole + min(sample_count, _DEGREE_BLOCK) * 8 * (k + 1) * (3 * k + 8)
+
+
+def _check_memory(estimate: int, what: str) -> None:
+    """Raise a ValueError naming the MiB `what` needs past the cap."""
+    if estimate > _MAX_MEASUREMENT_BYTES:
+        mib = -(-estimate >> 20)  # rounded up in integers: the estimate may pass the float range
+        raise ValueError(
+            f"{what} needs about {mib} MiB, over the cap of {_MAX_MEASUREMENT_BYTES >> 20} MiB"
+        )
 
 
 class PhaseAmbiguityError(RuntimeError):
@@ -273,6 +297,33 @@ def tangent_frame(points: np.ndarray) -> np.ndarray:
     return frame
 
 
+def _jacobian_dets(
+    map_fn: Callable[[np.ndarray], np.ndarray],
+    y: np.ndarray,
+    fy_unit: np.ndarray,
+    step: float,
+) -> np.ndarray:
+    """det(Df) at each row of `y`, with Df taken from the tangent frame at y
+    to the one at its normalized image `fy_unit` by geodesic central
+    differences.
+
+    One call per block of samples: its arrays are freed on return, before
+    the next block's are formed.
+    """
+    k = y.shape[1] - 1
+    frames = tangent_frame(y)
+    image_frames = tangent_frame(fy_unit)
+    cos_h, sin_h = math.cos(step), math.sin(step)
+    jac = np.empty((len(y), k, k))
+    for b in range(k):
+        u = frames[..., b]
+        plus = np.asarray(map_fn(cos_h * y + sin_h * u), dtype=float)
+        minus = np.asarray(map_fn(cos_h * y - sin_h * u), dtype=float)
+        deriv = (plus - minus) / (2.0 * step)
+        jac[:, :, b] = np.einsum("nda,nd->na", image_frames, deriv)
+    return np.linalg.det(jac)
+
+
 def degree_estimate(
     map_fn: Callable[[np.ndarray], np.ndarray],
     k: int,
@@ -298,30 +349,32 @@ def degree_estimate_details(
     seed: int = 0,
     step: float = 1e-5,
 ) -> tuple[float, float]:
-    """Like degree_estimate but also returns the standard error of the mean."""
+    """Like degree_estimate but also returns the standard error of the mean.
+
+    The samples and their images are formed whole; the tangent frames,
+    difference quotients and Jacobian determinants are formed over blocks of
+    `_DEGREE_BLOCK` samples, so `map_fn` must act on each row on its own.
+    The mean and spread are taken over all determinants at once, so the
+    result does not depend on the block size. An estimate whose memory need
+    passes 1 GiB is refused with a ValueError before anything is drawn.
+    """
     if k < 1:
         raise ValueError("sphere dimension must be at least 1")
     if sample_count < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
     if step == 0 or not math.isfinite(step):  # a negative step is a valid central difference
         raise ValueError(f"finite-difference step must be nonzero and finite, got {step}")
+    _check_memory(_degree_bytes(k, sample_count), f"an estimate of {sample_count} samples on S^{k}")
     rng = np.random.default_rng(seed)
     y = uniform_sphere_samples(k, sample_count, rng)
-    frames = tangent_frame(y)
     fy = np.asarray(map_fn(y), dtype=float)
     fy_norms = np.linalg.norm(fy, axis=1, keepdims=True)
     if np.any(fy_norms < 1e-12):
         raise ValueError("map sent a sample to the origin")
-    image_frames = tangent_frame(fy / fy_norms)
-    cos_h, sin_h = math.cos(step), math.sin(step)
-    jac = np.empty((sample_count, k, k))
-    for b in range(k):
-        u = frames[..., b]
-        plus = np.asarray(map_fn(cos_h * y + sin_h * u), dtype=float)
-        minus = np.asarray(map_fn(cos_h * y - sin_h * u), dtype=float)
-        deriv = (plus - minus) / (2.0 * step)
-        jac[:, :, b] = np.einsum("nda,nd->na", image_frames, deriv)
-    dets = np.linalg.det(jac)
+    dets = np.empty(sample_count)
+    for lo in range(0, sample_count, _DEGREE_BLOCK):
+        hi = lo + _DEGREE_BLOCK
+        dets[lo:hi] = _jacobian_dets(map_fn, y[lo:hi], fy[lo:hi] / fy_norms[lo:hi], step)
     estimate = float(np.mean(dets))
     stderr = float(np.std(dets) / math.sqrt(sample_count))
     return estimate, stderr
@@ -348,13 +401,10 @@ def induced_matrix_on_torus(
         raise ValueError("torus dimension must be at least 1")
     if resolution < 256:
         raise ValueError("resolution below 256 cannot be trusted")
-    estimate = (resolution + 1) * n * _WINDING_BYTES_PER_SAMPLE + 16 * n * n
-    if estimate > _MAX_WINDING_BYTES:
-        mib = -(-estimate >> 20)  # rounded up in integers: the estimate may pass the float range
-        raise ValueError(
-            f"resolution {resolution} at n = {n} needs about {mib} MiB, "
-            f"over the cap of {_MAX_WINDING_BYTES >> 20} MiB"
-        )
+    _check_memory(
+        (resolution + 1) * n * _WINDING_BYTES_PER_SAMPLE + 16 * n * n,
+        f"resolution {resolution} at n = {n}",
+    )
     circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, resolution + 1))
     rows = [[0] * n for _ in range(n)]
     for j in range(n):

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from itertools import combinations
@@ -489,6 +490,25 @@ def test_induced_resolution_past_the_memory_cap_is_input_error(capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: resolution 1000000000000 at n = 2 needs about 244140626 MiB, "
+        "over the cap of 1024 MiB\n"
+    )
+
+
+def test_degree_samples_past_the_memory_cap_are_input_error(capsys):
+    import spheremat.spheres  # noqa: F401 -- the imports are not the estimate's allocations
+
+    tracemalloc.start()
+    try:
+        code = main(["degree", "--k", "4", "--samples", "10000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: an estimate of 10000000000 samples on S^4 needs about 1297001 MiB, "
         "over the cap of 1024 MiB\n"
     )
 

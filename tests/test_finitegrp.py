@@ -740,6 +740,24 @@ def test_conjugacy_classes_compare_as_frozensets_of_residue_matrices():
         assert frozenset([ResidueMatrix.identity(n, m)]) in classes
 
 
+def test_element_set_hash_is_formed_once():
+    class CountedRows(frozenset):
+        iterations = 0
+
+        def __iter__(self):
+            CountedRows.iterations += 1
+            return super().__iter__()
+
+    g = sl(2, 5)
+    view = finitegrp._Elements(CountedRows(g.elements.rows), 5)
+    want = hash(frozenset(view))
+    CountedRows.iterations = 0
+    assert hash(view) == want == hash(g.elements)
+    assert CountedRows.iterations == 1
+    assert hash(view) == want
+    assert CountedRows.iterations == 1
+
+
 def test_sl3_z4_table_keeps_at_most_140_bytes_per_element():
     # A table keeps the row tuples `_dimino` formed, with rows shared between
     # elements, and builds no ResidueMatrix per element: ~113 B per element

@@ -124,6 +124,29 @@ def test_powers_match_repeated_products():
         want_a, want_r = want_a * a, want_r * r
 
 
+def test_integer_powers_start_from_the_base(monkeypatch):
+    # x ** t for t >= 1 starts from x rather than multiplying the identity
+    # in first, so it forms one product fewer; x ** 0 forms none
+    a = IntMatrix([[2, 1], [1, 1]])
+    r = ResidueMatrix([[2, 1, 0], [1, 1, 3], [0, 4, 1]], 7)
+    for x, one, inv in (
+        (a, IntMatrix.identity(2), a.inverse_unimodular()),
+        (r, ResidueMatrix.identity(3, 7), r.inverse()),
+    ):
+        want = want_inv = one
+        for t in range(10):
+            assert x**t == want and x**-t == want_inv
+            want, want_inv = want * x, want_inv * inv
+        cls, mul, calls = type(x), type(x).__mul__, []
+        monkeypatch.setattr(cls, "__mul__", lambda s, o: calls.append(o) or mul(s, o))
+        for t in range(40):
+            calls.clear()
+            x**t
+            # t.bit_length() - 1 squarings, one product per further set bit
+            assert len(calls) == (t.bit_length() + bin(t).count("1") - 2 if t else 0)
+        monkeypatch.undo()
+
+
 def test_reduce_mod_examples():
     assert elementary_matrix(2, 1, 2, 2).reduce_mod(2).is_identity()
     assert tau_matrix(2).reduce_mod(2).rows == ((0, 1), (1, 0))

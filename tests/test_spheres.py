@@ -1,11 +1,13 @@
 import hashlib
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from spheremat import spheres
 from spheremat.intmat import IntMatrix, elementary_matrix
 from spheremat.spheres import (
     AlgebraElement,
@@ -403,6 +405,72 @@ def test_degree_outputs_are_frozen(capsys):
     outcomes.append(capsys.readouterr().out)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "e6047acc366dd4bf5d17a15b6d5d9fe5055617169e37e076210effc001ad9244"
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_degree_estimate_keeps_at_most_200_bytes_per_sample():
+    # Tangent frames, difference quotients and Jacobians exist for one block
+    # of samples at a time; with every array over all samples at once the
+    # peak was 784 B per sample here (tracemalloc).
+    base = np.zeros(5)
+    base[0] = 1.0
+    peak = _traced_peak(degree_estimate_details, psi_map(base), 4, 200_000, seed=1)
+    assert peak / 200_000 <= 200
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_degree_memory_estimate_bounds_the_traced_peak(k):
+    base = np.zeros(k + 1)
+    base[0] = 1.0
+    count = 3 * spheres._DEGREE_BLOCK + 17
+    fns = [psi_map(base), antipodal_map, lambda pts: pts]
+    if k == 1:
+        fns += [_circle_power_map(-3), _circle_power_map(7)]
+    for fn in fns:
+        peak = _traced_peak(degree_estimate_details, fn, k, count, seed=k)
+        assert peak <= spheres._degree_bytes(k, count)
+
+
+def test_degree_past_the_memory_cap_is_refused_before_drawing(monkeypatch):
+    # the input checks come first
+    with pytest.raises(ValueError, match="^sphere dimension must be at least 1$"):
+        degree_estimate_details(antipodal_map, 0, 10**10)
+    with pytest.raises(ValueError, match="^finite-difference step must be nonzero"):
+        degree_estimate_details(antipodal_map, 4, 10**10, step=0.0)
+
+    class Drawn(Exception):
+        pass
+
+    def draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr(spheres, "uniform_sphere_samples", draw)
+    with pytest.raises(
+        ValueError,
+        match=r"^an estimate of 10000000000 samples on S\^4 needs about \d+ MiB, over the cap of 1024 MiB$",
+    ):
+        degree_estimate_details(antipodal_map, 4, 10**10)
+    # the largest count under the cap is drawn, the next one is refused
+    for k in (1, 4, 100):
+        lo, hi = 1000, 2**40
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if spheres._degree_bytes(k, mid) <= 2**30 else (lo, mid - 1)
+        with pytest.raises(Drawn):
+            degree_estimate_details(antipodal_map, k, lo)
+        with pytest.raises(ValueError, match="over the cap of 1024 MiB"):
+            degree_estimate_details(antipodal_map, k, lo + 1)
+    # one block on a sphere of high dimension is past the cap by itself
+    with pytest.raises(ValueError, match=r"^an estimate of 1000 samples on S\^1000 needs"):
+        degree_estimate_details(antipodal_map, 1000, 1000)
 
 
 # ---------------------------------------------------------------------------
