@@ -62,12 +62,14 @@ def _degree_bytes(k: int, sample_count: int) -> int:
     return whole + min(sample_count, _DEGREE_BLOCK) * 8 * (k + 1) * (3 * k + 8)
 
 
-def _check_memory(estimate: int, what: str) -> None:
-    """Raise a ValueError naming the MiB `what` needs past the cap."""
+def _check_memory(estimate: int, what: str, *where: object) -> None:
+    """Raise a ValueError naming the MiB `what.format(*where)` needs if
+    `estimate` passes the cap; the name is formatted only then."""
     if estimate > _MAX_MEASUREMENT_BYTES:
         mib = -(-estimate >> 20)  # rounded up in integers: the estimate may pass the float range
         raise ValueError(
-            f"{what} needs about {mib} MiB, over the cap of {_MAX_MEASUREMENT_BYTES >> 20} MiB"
+            f"{what.format(*where)} needs about {mib} MiB, "
+            f"over the cap of {_MAX_MEASUREMENT_BYTES >> 20} MiB"
         )
 
 
@@ -364,7 +366,7 @@ def degree_estimate_details(
         raise ValueError("need at least 1000 samples for a meaningful estimate")
     if step == 0 or not math.isfinite(step):  # a negative step is a valid central difference
         raise ValueError(f"finite-difference step must be nonzero and finite, got {step}")
-    _check_memory(_degree_bytes(k, sample_count), f"an estimate of {sample_count} samples on S^{k}")
+    _check_memory(_degree_bytes(k, sample_count), "an estimate of {} samples on S^{}", sample_count, k)
     rng = np.random.default_rng(seed)
     y = uniform_sphere_samples(k, sample_count, rng)
     fy = np.asarray(map_fn(y), dtype=float)
@@ -403,7 +405,7 @@ def induced_matrix_on_torus(
         raise ValueError("resolution below 256 cannot be trusted")
     _check_memory(
         (resolution + 1) * n * _WINDING_BYTES_PER_SAMPLE + 16 * n * n,
-        f"resolution {resolution} at n = {n}",
+        "resolution {} at n = {}", resolution, n,
     )
     circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, resolution + 1))
     rows = [[0] * n for _ in range(n)]
