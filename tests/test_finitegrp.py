@@ -803,3 +803,43 @@ def test_a_table_built_from_a_plain_frozenset_answers_the_same_queries():
     assert normal_subgroups(plain) == normal_subgroups(g)
     sub = power_subgroup(g, g.generators, 2)
     assert find_normality_violation(sub, plain) is None and is_normal(plain, g)
+
+
+def test_power_subgroups_witnesses_and_whole_table_classes_are_frozen():
+    # digest of power subgroups (generator rows, sorted element rows), of the
+    # first normality witness of seeded non-normal pairs, and of the classes of
+    # the whole SL_2(Z_8) as `normal_subgroups` returns it (384 generators)
+    powers = []
+    for n, m, ts in ((2, 31, (2,)), (3, 3, (2, 3)), (3, 4, (2, 3))):
+        group = enumerate_group(conjugated_elementary_generators(n, m, 1800 + m), n, m)
+        for t in ts:
+            sub = power_subgroup(group, group.generators, t)
+            powers.append(([x.rows for x in sub.generators], [x.rows for x in sub.sorted_elements()]))
+
+    rng = random.Random(1801)
+    sl33 = enumerate_group(conjugated_elementary_generators(3, 3, 1803), 3, 3)
+    sl28 = sl(2, 8)
+    whole = normal_subgroups(sl28)[-1]
+    assert len(whole.generators) == 384
+    pairs = []
+    for _ in range(8):  # cyclic subgroups of SL_3(Z_3)
+        pairs.append((enumerate_group([rng.choice(sl33.sorted_elements())], 3, 3), sl33))
+    for _ in range(4):  # two-generator subgroups of SL_3(Z_3)
+        pairs.append((enumerate_group(rng.sample(sl33.sorted_elements(), 2), 3, 3), sl33))
+    elems = sl28.sorted_elements()
+    for _ in range(6):  # subgroups of SL_2(Z_8) in both tables of it
+        sub = enumerate_group([rng.choice(elems)], 2, 8)
+        pairs += [(sub, whole), (sub, sl28)]
+    for _ in range(3):  # normal subgroups of a subgroup: every element a generator
+        part = enumerate_group(rng.sample(elems, 2), 2, 8)
+        for sub in normal_subgroups(part)[1:4]:
+            pairs += [(sub, whole), (sub, sl28)]
+    witnesses = []
+    for sub, group in pairs:
+        pair = find_normality_violation(sub, group)
+        witnesses.append(None if pair is None else (pair[0].rows, pair[1].rows))
+    assert 0 < witnesses.count(None) < len(witnesses) // 3
+
+    classes = [sorted(c.rows) for c in conjugacy_classes(whole)]
+    digest = hashlib.sha256(repr((powers, witnesses, classes)).encode()).hexdigest()
+    assert digest == "18b67ead68822b016d7cce278e88fe21c99245a3670b0c7f805973f9fd1e20d2"
