@@ -12,21 +12,34 @@ reduced to 0..m-1, and x*g is the tuple of the images v*g of x's rows v.
 entry per distinct row met, never all m^n vectors, and equal rows of
 different elements share one tuple. `_dimino` is the one closure loop
 (Dimino's algorithm, Butler 1991), forming about one product per element:
-`_table` runs it for `enumerate_group` and `power_subgroup`, and
-`normal_subgroups` for its class closures and joins. Enumeration stays on
-rows because the table keeps the row tuples it forms, so packing them would
-be extra work: a packed Dimino ran at 0.66-1.05x the speed of this one on
-SL_2(Z_11) to SL_3(Z_5) (2-vCPU VM).
+`_table` runs it for `enumerate_group` and `power_subgroup`,
+`normal_subgroups` for its class closures and joins, and `_enlarging` for a
+table that `_table` did not build. Enumeration stays on rows because the
+table keeps the row tuples it forms, so packing them would be extra work: a
+packed Dimino ran at 0.66-1.05x the speed of this one on SL_2(Z_11) to
+SL_3(Z_5) (2-vCPU VM).
 
 Conjugation runs on packed integer codes (`_Conjugation`), where
 x -> g x g^-1 is n table lookups, n - 1 integer adds and n memo lookups, and
-an orbit is a set of ints. `conjugacy_classes` and `find_normality_violation`
-build one per call, over the distinct rows of the elements they conjugate.
+an orbit is a set of ints. Queries conjugate only by the generators that
+enlarged the group in `_dimino` (`_enlarging`): each other generator is a
+product of earlier ones, so it adds no orbit and no normality witness.
 
 A table's `elements` and each conjugacy class are `_Elements` views over a
 frozenset of row tuples. Membership, size and comparisons between views
 touch rows only; a row tuple becomes a `ResidueMatrix`, without
 re-validation, only when a caller iterates, and again on each iteration.
+
+A table's view also keeps what its group's queries derive, each keyed by the
+table's `generators`, so a table with other generators over the same view
+derives its own. `_table` stores the positions of the enlarging generators
+as it builds the view; any other table gets them on its first query, from
+one `_dimino` run over its generators. `conjugacy_classes` stores its
+classes on its first call and returns them again, in a new list, while the
+generators stay equal; on SL_3(Z_4) they keep ~60 B per element for as
+long as the table lives, and the first call peaks at ~136 B per element
+(tracemalloc). `normal_subgroups` and `power_subgroup` read classes through
+it. A table over a plain set stores nothing and derives both on each query.
 """
 
 from __future__ import annotations
@@ -62,14 +75,21 @@ class _Elements(Set):
     so a lookup is one hash of nested int tuples. Iteration wraps each row
     tuple as it goes. Equality and the hash agree with a frozenset of the
     same matrices, and the set operators return frozensets.
+
+    The view of a group's table also holds, once derived, `steps`, the
+    generators and the positions among them of those that enlarged the group
+    (see `_enlarging`), and `classes`, the generators and the tuple of
+    conjugacy classes `conjugacy_classes` found with them.
     """
 
-    __slots__ = ("rows", "m", "_hash")
+    __slots__ = ("rows", "m", "_hash", "steps", "classes")
 
-    def __init__(self, rows: frozenset[_Rows], m: int):
+    def __init__(self, rows: frozenset[_Rows], m: int, steps=None):
         self.rows = rows
         self.m = m
         self._hash = None
+        self.steps = steps  # (generators, positions of the enlarging ones) or None
+        self.classes = None  # (generators, tuple of class views) or None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -245,8 +265,11 @@ class _Conjugation:
         return _pack([(row >> shift & low) % m for shift in fields], bits)
 
 
-def _dimino(gen_rows: Sequence[_Rows], n: int, m: int, max_size: int) -> list[_Rows]:
-    """Rows of every element of the group generated by `gen_rows` (Dimino).
+def _dimino(
+    gen_rows: Sequence[_Rows], n: int, m: int, max_size: int
+) -> tuple[list[_Rows], list[int]]:
+    """Rows of every element of the group generated by `gen_rows` (Dimino),
+    and the positions in `gen_rows` of the generators that enlarged it.
 
     Dimino's algorithm (Butler, *Fundamental Algorithms for Permutation
     Groups*, LNCS 559, 1991): with G_0 = {1} and G_i = <G_{i-1}, g_i>, G_i is
@@ -255,17 +278,20 @@ def _dimino(gen_rows: Sequence[_Rows], n: int, m: int, max_size: int) -> list[_R
     If r s is new for a generator s, the block times s is a whole new coset.
     Each new element costs one row-image product, and no inverses are needed:
     a finite group is closed once it is closed under the generators. A
-    generator already in the group is skipped. Raises `GroupSizeLimitError`
-    iff the order exceeds `max_size`, before the coset that would pass it is
-    formed. The rows must come from matrices with unit determinant mod m.
+    generator already in the group is skipped; the others enlarged it.
+    Raises `GroupSizeLimitError` iff the order exceeds `max_size`, before the
+    coset that would pass it is formed. The rows must come from matrices with
+    unit determinant mod m.
     """
     ident = ResidueMatrix.identity(n, m).rows
     seen = {ident}
     found = [ident]
     steps = []  # (columns, row memo) of each generator that enlarged the group
-    for rows in gen_rows:
+    enlarged = []  # and its position in `gen_rows`
+    for i, rows in enumerate(gen_rows):
         if rows in seen:
             continue
+        enlarged.append(i)
         steps.append((_transpose(rows), {}))
         size = len(found)  # |G_{i-1}|: found[start:start + size] is one coset
         start = 0
@@ -279,13 +305,42 @@ def _dimino(gen_rows: Sequence[_Rows], n: int, m: int, max_size: int) -> list[_R
                 seen.update(coset)
                 found += coset
             start += size
-    return found
+    return found, enlarged
 
 
 def _table(gens: Sequence[ResidueMatrix], n: int, m: int, max_size: int) -> FiniteGroupTable:
-    """The table of <gens> (see `_dimino`); their determinants must be units."""
-    rows = frozenset(_dimino([g.rows for g in gens], n, m, max_size))
-    return FiniteGroupTable(n=n, m=m, generators=tuple(gens), elements=_Elements(rows, m))
+    """The table of <gens> (see `_dimino`); their determinants must be units.
+
+    Its view keeps the positions of the generators that enlarged the group."""
+    gens = tuple(gens)
+    rows, enlarged = _dimino([g.rows for g in gens], n, m, max_size)
+    elements = _Elements(frozenset(rows), m, (gens, enlarged))
+    return FiniteGroupTable(n=n, m=m, generators=gens, elements=elements)
+
+
+def _enlarging(group: FiniteGroupTable) -> list[ResidueMatrix]:
+    """The generators of `group` that enlarged it in `_dimino`, in order.
+
+    A table built by `_table` keeps their positions on its view. Any other
+    table (`normal_subgroups` returns each subgroup with all its elements as
+    generators, and a caller may build one) gets them from one `_dimino` run
+    over its generators, about one product per element, after checking that
+    each generator is among its elements. The positions are kept on the view
+    when it is an `_Elements`; a plain set is rechecked and rerun each call.
+    """
+    gens, view = group.generators, group.elements
+    stored = getattr(view, "steps", None)
+    if stored is not None and stored[0] == gens:
+        enlarged = stored[1]
+    else:
+        for g in gens:
+            if g not in view:
+                raise ValueError(f"generator {g.rows} is not among the table's elements")
+        # every generator is an element, so their group fits in the table
+        _, enlarged = _dimino([g.rows for g in gens], group.n, group.m, len(view))
+        if isinstance(view, _Elements):
+            view.steps = (gens, enlarged)
+    return [gens[i] for i in enlarged]
 
 
 def enumerate_group(
@@ -312,9 +367,13 @@ def power_subgroup(
     t: int,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> FiniteGroupTable:
-    """The subgroup generated by all t-th powers of elements of <subgroup_generators>.
+    """The subgroup generated by all t-th powers of elements of H = <subgroup_generators>.
 
-    When those are the group's own generators, the group's table is reused."""
+    When those are the group's own generators, H is the group's table;
+    otherwise H is enumerated. Since (g x g^-1)^t = g x^t g^-1, the t-th
+    powers are a union of conjugacy classes of H: the classes that hold the
+    t-th power of one representative of each class. Their sorted rows are
+    the generators of the result."""
     if t < 1:
         raise ValueError("power must be positive")
     if tuple(subgroup_generators) == group.generators and group.order <= max_size:
@@ -323,8 +382,12 @@ def power_subgroup(
         sub = enumerate_group(subgroup_generators, group.n, group.m, max_size=max_size)
         if not sub.elements <= group.elements:
             raise ValueError("given generators do not lie inside the ambient group")
+    classes = conjugacy_classes(sub)
+    index = {r: i for i, c in enumerate(classes) for r in c.rows}  # row tuple -> its class
+    hit = {index[(next(iter(c)) ** t).rows] for c in classes}
+    rows = sorted(r for i in hit for r in classes[i].rows)
     # powers of checked elements: their determinants are units
-    powers = sorted({x ** t for x in sub.elements}, key=lambda r: r.rows)
+    powers = list(map(ResidueMatrix._trusted, rows, repeat(group.m)))
     return _table(powers, group.n, group.m, max_size)
 
 
@@ -336,16 +399,22 @@ def find_normality_violation(
 
     Generators suffice: if every such conjugate stays inside, conjugation by
     any product does too (the subgroup is finite, so containment forces
-    equality)."""
+    equality). So only the generators that enlarged each group (`_enlarging`)
+    are tried, in their order: a generator g that did not is a product of
+    earlier ones, which all normalize the subgroup if none gave a pair, so g
+    gives none either; the same holds for h within the subgroup. The pair
+    found is the first one among all generators."""
     if subgroup.n != group.n or subgroup.m != group.m:
         raise ValueError("dimension or modulus mismatch")
     if not subgroup.elements <= group.elements:
         raise ValueError("first argument is not contained in the second")
+    hs = _enlarging(subgroup)
+    gs = _enlarging(group)
     conjugate = _Conjugation(subgroup.elements, group.n, group.m)
-    codes = [conjugate.code(h.rows) for h in subgroup.generators]
-    for g in group.generators:
+    codes = [conjugate.code(h.rows) for h in hs]
+    for g in gs:
         by = [conjugate.tables(g)]
-        for h, x in zip(subgroup.generators, codes):
+        for h, x in zip(hs, codes):
             if conjugate(x, by)[0] not in conjugate.elements:
                 return (g, h)
     return None
@@ -360,11 +429,18 @@ def conjugacy_classes(group: FiniteGroupTable) -> list[Set[ResidueMatrix]]:
     of their smallest rows; each class is an `_Elements` view over the row
     tuples of its members, which compares and hashes as a frozenset.
 
-    The orbits are sets of `_Conjugation` codes. Code order is row order, so
-    the seeds are taken in sorted code order."""
+    The orbits are sets of `_Conjugation` codes under the generators that
+    enlarged the group (`_enlarging`). Code order is row order, so the seeds
+    are taken in sorted code order. Raises ValueError if a generator is not
+    among the elements. The classes are stored on the table's view, and a
+    later call with the same generators returns them in a new list."""
+    gens, view = group.generators, group.elements
+    stored = getattr(view, "classes", None)
+    if stored is not None and stored[0] == gens:
+        return list(stored[1])
     m = group.m
-    conjugate = _Conjugation(group.elements, group.n, m)
-    by = [conjugate.tables(g) for g in group.generators]
+    conjugate = _Conjugation(view, group.n, m)
+    by = [conjugate.tables(g) for g in _enlarging(group)]
     remaining = conjugate.elements
     classes = []
     for seed in sorted(remaining):
@@ -378,6 +454,8 @@ def conjugacy_classes(group: FiniteGroupTable) -> list[Set[ResidueMatrix]]:
                     seen.add(y)
                     orbit.append(y)
         classes.append(_Elements(frozenset(map(remaining.pop, orbit)), m))
+    if isinstance(view, _Elements):
+        view.classes = (gens, tuple(classes))
     return classes
 
 
@@ -396,14 +474,14 @@ def normal_subgroups(group: FiniteGroupTable) -> list[FiniteGroupTable]:
     atoms = {}  # <C> -> the rows of the first class C that generates it
     for cls in conjugacy_classes(group):
         rows = list(cls.rows)  # rows of table elements: unit determinants
-        atoms.setdefault(frozenset(_dimino(rows, n, m, group.order)), rows)
+        atoms.setdefault(frozenset(_dimino(rows, n, m, group.order)[0]), rows)
     todo = [frozenset([ResidueMatrix.identity(n, m).rows])]
     lattice = set(todo)
     for sub in todo:
         for atom, cls in atoms.items():
             if cls[0] in sub:  # a normal subgroup holds all of a class or none
                 continue
-            joined = atom if sub <= atom else frozenset(_dimino([*sub, *cls], n, m, group.order))
+            joined = atom if sub <= atom else frozenset(_dimino([*sub, *cls], n, m, group.order)[0])
             if joined not in lattice:
                 lattice.add(joined)
                 todo.append(joined)

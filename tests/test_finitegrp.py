@@ -843,3 +843,143 @@ def test_power_subgroups_witnesses_and_whole_table_classes_are_frozen():
     classes = [sorted(c.rows) for c in conjugacy_classes(whole)]
     digest = hashlib.sha256(repr((powers, witnesses, classes)).encode()).hexdigest()
     assert digest == "18b67ead68822b016d7cce278e88fe21c99245a3670b0c7f805973f9fd1e20d2"
+
+
+# ---------------------------------------------------------------------------
+# queries through the enlarging generators, and the stored classes
+# ---------------------------------------------------------------------------
+
+
+class CountedConjugation(finitegrp._Conjugation):
+    built = 0
+    tables_built = 0
+
+    def __init__(self, *args):
+        CountedConjugation.built += 1
+        super().__init__(*args)
+
+    def tables(self, g):
+        CountedConjugation.tables_built += 1
+        return super().tables(g)
+
+
+@pytest.fixture
+def counted_conjugation(monkeypatch):
+    CountedConjugation.built = CountedConjugation.tables_built = 0
+    monkeypatch.setattr(finitegrp, "_Conjugation", CountedConjugation)
+    return CountedConjugation
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_a_generator_outside_the_table_is_named(extra):
+    cyclic = enumerate_group([ResidueMatrix([[1, 1], [0, 1]], 5)], 2, 5)
+    h = ResidueMatrix([[1, 0], [1, 1]], 5)
+    gens = (*cyclic.generators, h) if extra else (h,)
+    table = FiniteGroupTable(2, 5, gens, cyclic.elements)
+    with pytest.raises(ValueError, match=r"generator \(\(1, 0\), \(1, 1\)\) is not among"):
+        conjugacy_classes(table)
+    with pytest.raises(ValueError, match="is not among"):
+        find_normality_violation(cyclic, table)
+
+
+def test_whole_table_queries_conjugate_by_the_enlarging_generators(counted_conjugation):
+    # 384 generators, of which 2 enlarge the group when taken in order
+    whole = normal_subgroups(sl(2, 8))[-1]
+    assert len(whole.generators) == 384
+    counted_conjugation.tables_built = 0
+    conjugacy_classes(whole)
+    assert counted_conjugation.tables_built == 2
+    counted_conjugation.tables_built = 0
+    assert is_normal(whole, whole)
+    assert counted_conjugation.tables_built == 2
+
+
+def test_power_subgroup_powers_one_representative_per_class(monkeypatch):
+    g = sl(3, 4)  # 30 classes
+    powers = 0
+    power = ResidueMatrix.__pow__
+
+    def counted(self, t):
+        nonlocal powers
+        powers += 1
+        return power(self, t)
+
+    monkeypatch.setattr(ResidueMatrix, "__pow__", counted)
+    sub = power_subgroup(g, g.generators, 3)
+    assert powers <= 30
+    assert sub.order == 43008 and len(sub.generators) == 28672  # the cubes
+
+
+def test_classes_of_the_whole_sl3_z3_from_normal_subgroups_budget():
+    # 5616 generators; 56.6 s when every generator was conjugated by (2-vCPU VM)
+    whole = normal_subgroups(sl(3, 3))[-1]
+    assert len(whole.generators) == 5616
+    start = time.monotonic()
+    classes = conjugacy_classes(whole)
+    elapsed = time.monotonic() - start
+    assert len(classes) == 12
+    assert elapsed < 5.0
+
+
+def test_classes_are_stored_on_the_table(counted_conjugation):
+    g = sl(2, 7)
+    first = conjugacy_classes(g)
+    assert counted_conjugation.built == 1
+    second = conjugacy_classes(g)
+    assert counted_conjugation.built == 1
+    assert second == first and second is not first
+    second.clear()
+    assert conjugacy_classes(g) == first
+    # normal_subgroups reads the stored classes
+    normal_subgroups(g)
+    assert counted_conjugation.built == 1
+
+
+def test_the_same_view_with_other_generators_is_recomputed(counted_conjugation):
+    g = sl(2, 5)
+    want = conjugacy_classes(g)
+    reversed_gens = FiniteGroupTable(2, 5, g.generators[::-1], g.elements)
+    assert conjugacy_classes(reversed_gens) == want
+    assert counted_conjugation.built == 2
+    # orbits under a cyclic subgroup only: not the classes
+    cyclic = FiniteGroupTable(2, 5, g.generators[:1], g.elements)
+    orbits = conjugacy_classes(cyclic)
+    assert counted_conjugation.built == 3 and len(orbits) > len(want)
+    # the view keeps one value: the last generators' classes replaced g's
+    assert conjugacy_classes(g) == want and counted_conjugation.built == 4
+    assert conjugacy_classes(g) == want and counted_conjugation.built == 4
+    # a plain set stores nothing
+    plain = FiniteGroupTable(2, 5, g.generators, frozenset(g.elements))
+    assert conjugacy_classes(plain) == conjugacy_classes(plain) == want
+    assert counted_conjugation.built == 6
+
+
+def test_a_normal_subgroups_table_finds_its_enlarging_generators_once(monkeypatch):
+    whole = normal_subgroups(sl(2, 8))[-1]
+    runs = 0
+    dimino = finitegrp._dimino
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return dimino(*args)
+
+    monkeypatch.setattr(finitegrp, "_dimino", counted)
+    conjugacy_classes(whole)
+    assert runs == 1
+    assert is_normal(whole, whole) and find_normality_violation(whole, whole) is None
+    assert runs == 1
+
+
+def test_sl3_z4_stored_classes_keep_at_most_80_bytes_per_element():
+    # ~59.5 B per element kept (tracemalloc); the call peaks at ~136 B per element
+    g = sl(3, 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classes = conjugacy_classes(g)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 30
+    assert kept / g.order <= 80
