@@ -983,3 +983,41 @@ def test_sl3_z4_stored_classes_keep_at_most_80_bytes_per_element():
         tracemalloc.stop()
     assert len(classes) == 30
     assert kept / g.order <= 80
+
+
+# ---------------------------------------------------------------------------
+# tables a caller builds
+# ---------------------------------------------------------------------------
+
+
+def test_caller_built_tables_are_frozen():
+    # digest of the classes, the normal subgroup orders and seeded normality
+    # witnesses of tables built outside `enumerate_group`: over a plain
+    # frozenset, over a library table's elements with its generators reversed
+    # or shuffled, and the tables `normal_subgroups` returns
+    rng = random.Random(1901)
+    tables = []
+    for n, m in ((2, 4), (3, 2)):
+        g = sl(n, m)
+        shuffled = list(g.generators)
+        rng.shuffle(shuffled)
+        tables += [
+            FiniteGroupTable(n, m, g.generators, frozenset(g.elements)),
+            FiniteGroupTable(n, m, g.generators[::-1], g.elements),
+            FiniteGroupTable(n, m, tuple(shuffled), g.elements),
+            *normal_subgroups(g)[1:],
+        ]
+    out = []
+    for table in tables:
+        classes = [sorted(c.rows) for c in conjugacy_classes(table)]
+        orders = [s.order for s in normal_subgroups(table)]
+        elems = table.sorted_elements()
+        witnesses = []
+        for _ in range(4):
+            sub = enumerate_group([rng.choice(elems)], table.n, table.m)
+            pair = find_normality_violation(sub, table)
+            witnesses.append(None if pair is None else (pair[0].rows, pair[1].rows))
+        out.append((table.n, table.m, classes, orders, witnesses))
+    assert len(out) == 13
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "7fbfef5c7f61862ad1a38623b3166eff336fed75bd6452a763dc07e3b962c118"
