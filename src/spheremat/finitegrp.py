@@ -30,16 +30,14 @@ frozenset of row tuples. Membership, size and comparisons between views
 touch rows only; a row tuple becomes a `ResidueMatrix`, without
 re-validation, only when a caller iterates, and again on each iteration.
 
-A table's view also keeps what its group's queries derive, each keyed by the
-table's `generators`, so a table with other generators over the same view
-derives its own. `_table` stores the positions of the enlarging generators
-as it builds the view; any other table gets them on its first query, from
-one `_dimino` run over its generators. `conjugacy_classes` stores its
-classes on its first call and returns them again, in a new list, while the
-generators stay equal; on SL_3(Z_4) they keep ~60 B per element for as
-long as the table lives, and the first call peaks at ~136 B per element
-(tracemalloc). `normal_subgroups` and `power_subgroup` read classes through
-it. A table over a plain set stores nothing and derives both on each query.
+Each table owns its view (`FiniteGroupTable` wraps any set it is given in a
+fresh one), and the view keeps what the table's queries derive: the
+generators that enlarged the group, stored by `_table` or found on the first
+query by one `_dimino` run (`_enlarging`), and the classes, stored by the
+first `conjugacy_classes` call on the table, which `normal_subgroups` and
+`power_subgroup` read. On SL_3(Z_4) the classes keep ~60 B per element for
+as long as the table lives; the first call peaks at ~136 B per element
+(tracemalloc).
 """
 
 from __future__ import annotations
@@ -76,20 +74,19 @@ class _Elements(Set):
     tuple as it goes. Equality and the hash agree with a frozenset of the
     same matrices, and the set operators return frozensets.
 
-    The view of a group's table also holds, once derived, `steps`, the
-    generators and the positions among them of those that enlarged the group
-    (see `_enlarging`), and `classes`, the generators and the tuple of
-    conjugacy classes `conjugacy_classes` found with them.
+    A table's view is its own, so it also keeps the table's `enlarging`
+    generators (see `_enlarging`) and `classes` (see `conjugacy_classes`),
+    each None until first derived.
     """
 
-    __slots__ = ("rows", "m", "_hash", "steps", "classes")
+    __slots__ = ("rows", "m", "_hash", "enlarging", "classes")
 
-    def __init__(self, rows: frozenset[_Rows], m: int, steps=None):
+    def __init__(self, rows: frozenset[_Rows], m: int):
         self.rows = rows
         self.m = m
         self._hash = None
-        self.steps = steps  # (generators, positions of the enlarging ones) or None
-        self.classes = None  # (generators, tuple of class views) or None
+        self.enlarging = None  # tuple of the generators that enlarged the group, or None
+        self.classes = None  # tuple of class views, or None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -130,16 +127,29 @@ class _Elements(Set):
 class FiniteGroupTable:
     """A finite matrix group over Z_m held in memory.
 
-    `elements` is a set of `ResidueMatrix`. A table built here holds an
-    `_Elements` view over the row tuples `_dimino` formed, so membership is
-    one hash lookup of rows, and a row that occurs in many elements is
-    stored once. Iterating it builds the `ResidueMatrix` objects.
+    `elements` is a set of n x n `ResidueMatrix` over Z_m, held as an
+    `_Elements` view of the table's own over their row tuples (shared with a
+    view it is given), so membership is one hash lookup of rows, and a row
+    of many elements is stored once. Iterating it builds the matrices.
+    Raises ValueError for a member of another size or modulus, or a view
+    over another modulus.
     """
 
     n: int
     m: int
     generators: tuple[ResidueMatrix, ...]
     elements: Set[ResidueMatrix]
+
+    def __post_init__(self):
+        n, m, elements = self.n, self.m, self.elements
+        if not isinstance(elements, _Elements):
+            for x in elements:
+                if not (isinstance(x, ResidueMatrix) and x.n == n and x.m == m):
+                    raise ValueError(f"{x!r} is not a {n}x{n} matrix over Z_{m}")
+            elements = _Elements(frozenset(x.rows for x in elements), m)
+        elif elements.m != m:
+            raise ValueError(f"elements over Z_{elements.m}, not Z_{m}")
+        object.__setattr__(self, "elements", _Elements(elements.rows, m))
 
     @property
     def order(self) -> int:
@@ -149,10 +159,7 @@ class FiniteGroupTable:
         return x in self.elements
 
     def sorted_elements(self) -> list[ResidueMatrix]:
-        elements = self.elements
-        if isinstance(elements, _Elements):  # sort the rows, then wrap
-            return list(map(ResidueMatrix._trusted, sorted(elements.rows), repeat(elements.m)))
-        return sorted(elements, key=operator.attrgetter("rows"))
+        return list(map(ResidueMatrix._trusted, sorted(self.elements.rows), repeat(self.m)))
 
 
 def _image(vecs: _Rows, cols: _Rows, memo: dict, m: int) -> _Rows:
@@ -199,7 +206,7 @@ class _Conjugation:
     element's code to its row tuple.
     """
 
-    def __init__(self, elements: Set[ResidueMatrix], n: int, m: int):
+    def __init__(self, elements: _Elements, n: int, m: int):
         self.m = m
         self.bits = (n * (m - 1)).bit_length()
         self.width = width = n * self.bits
@@ -207,11 +214,7 @@ class _Conjugation:
         self.shifts = [width * (n - 1 - k) for k in range(n)]  # of row k in a code
         self.rows: dict[tuple[int, ...], int] = {}  # each distinct row -> its code
         self.elements: dict[int, _Rows] = {}  # code -> the element's rows
-        if isinstance(elements, _Elements):
-            elements = elements.rows
-        else:  # a table built by the caller, with a set of ResidueMatrix
-            elements = [x.rows for x in elements]
-        for x in elements:
+        for x in elements.rows:
             code = 0
             for r in x:
                 c = self.rows.get(r)
@@ -311,36 +314,36 @@ def _dimino(
 def _table(gens: Sequence[ResidueMatrix], n: int, m: int, max_size: int) -> FiniteGroupTable:
     """The table of <gens> (see `_dimino`); their determinants must be units.
 
-    Its view keeps the positions of the generators that enlarged the group."""
+    Its view keeps the generators that enlarged the group."""
     gens = tuple(gens)
     rows, enlarged = _dimino([g.rows for g in gens], n, m, max_size)
-    elements = _Elements(frozenset(rows), m, (gens, enlarged))
-    return FiniteGroupTable(n=n, m=m, generators=gens, elements=elements)
+    table = FiniteGroupTable(n=n, m=m, generators=gens, elements=_Elements(frozenset(rows), m))
+    table.elements.enlarging = tuple(gens[i] for i in enlarged)
+    return table
 
 
-def _enlarging(group: FiniteGroupTable) -> list[ResidueMatrix]:
+def _enlarging(group: FiniteGroupTable) -> tuple[ResidueMatrix, ...]:
     """The generators of `group` that enlarged it in `_dimino`, in order.
 
-    A table built by `_table` keeps their positions on its view. Any other
-    table (`normal_subgroups` returns each subgroup with all its elements as
-    generators, and a caller may build one) gets them from one `_dimino` run
-    over its generators, about one product per element, after checking that
-    each generator is among its elements. The positions are kept on the view
-    when it is an `_Elements`; a plain set is rechecked and rerun each call.
+    A table built by `_table` keeps them on its view. Any other table
+    (`normal_subgroups` returns each subgroup with all its elements as
+    generators, and a caller may build one) derives them on its first query
+    from one `_dimino` run over its generators, about one product per
+    element. Raises ValueError unless the generators are among the elements
+    and generate all of them.
     """
-    gens, view = group.generators, group.elements
-    stored = getattr(view, "steps", None)
-    if stored is not None and stored[0] == gens:
-        enlarged = stored[1]
-    else:
+    view = group.elements
+    if view.enlarging is None:
+        gens = group.generators
         for g in gens:
             if g not in view:
                 raise ValueError(f"generator {g.rows} is not among the table's elements")
         # every generator is an element, so their group fits in the table
-        _, enlarged = _dimino([g.rows for g in gens], group.n, group.m, len(view))
-        if isinstance(view, _Elements):
-            view.steps = (gens, enlarged)
-    return [gens[i] for i in enlarged]
+        rows, enlarged = _dimino([g.rows for g in gens], group.n, group.m, len(view))
+        if len(rows) != len(view) or not view.rows.issuperset(rows):
+            raise ValueError(f"the generators generate a group of order {len(rows)}, not {len(view)}")
+        view.enlarging = tuple(gens[i] for i in enlarged)
+    return view.enlarging
 
 
 def enumerate_group(
@@ -431,32 +434,29 @@ def conjugacy_classes(group: FiniteGroupTable) -> list[Set[ResidueMatrix]]:
 
     The orbits are sets of `_Conjugation` codes under the generators that
     enlarged the group (`_enlarging`). Code order is row order, so the seeds
-    are taken in sorted code order. Raises ValueError if a generator is not
-    among the elements. The classes are stored on the table's view, and a
-    later call with the same generators returns them in a new list."""
-    gens, view = group.generators, group.elements
-    stored = getattr(view, "classes", None)
-    if stored is not None and stored[0] == gens:
-        return list(stored[1])
-    m = group.m
-    conjugate = _Conjugation(view, group.n, m)
-    by = [conjugate.tables(g) for g in _enlarging(group)]
-    remaining = conjugate.elements
-    classes = []
-    for seed in sorted(remaining):
-        if seed not in remaining:
-            continue
-        seen = {seed}
-        orbit = [seed]
-        for x in orbit:
-            for y in conjugate(x, by):
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-        classes.append(_Elements(frozenset(map(remaining.pop, orbit)), m))
-    if isinstance(view, _Elements):
-        view.classes = (gens, tuple(classes))
-    return classes
+    are taken in sorted code order. Raises ValueError as `_enlarging` does.
+    The classes are stored on the table's view, and a later call on the same
+    table returns them in a new list."""
+    view = group.elements
+    if view.classes is None:
+        gens = _enlarging(group)
+        conjugate = _Conjugation(view, group.n, group.m)
+        by = [conjugate.tables(g) for g in gens]
+        remaining = conjugate.elements
+        classes = []
+        for seed in sorted(remaining):
+            if seed not in remaining:
+                continue
+            seen = {seed}
+            orbit = [seed]
+            for x in orbit:
+                for y in conjugate(x, by):
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+            classes.append(_Elements(frozenset(map(remaining.pop, orbit)), group.m))
+        view.classes = tuple(classes)
+    return list(view.classes)
 
 
 def normal_subgroups(group: FiniteGroupTable) -> list[FiniteGroupTable]:

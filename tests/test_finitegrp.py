@@ -938,20 +938,20 @@ def test_classes_are_stored_on_the_table(counted_conjugation):
 def test_the_same_view_with_other_generators_is_recomputed(counted_conjugation):
     g = sl(2, 5)
     want = conjugacy_classes(g)
+    # another table over the same elements derives its own classes
     reversed_gens = FiniteGroupTable(2, 5, g.generators[::-1], g.elements)
     assert conjugacy_classes(reversed_gens) == want
     assert counted_conjugation.built == 2
-    # orbits under a cyclic subgroup only: not the classes
-    cyclic = FiniteGroupTable(2, 5, g.generators[:1], g.elements)
-    orbits = conjugacy_classes(cyclic)
-    assert counted_conjugation.built == 3 and len(orbits) > len(want)
-    # the view keeps one value: the last generators' classes replaced g's
-    assert conjugacy_classes(g) == want and counted_conjugation.built == 4
-    assert conjugacy_classes(g) == want and counted_conjugation.built == 4
-    # a plain set stores nothing
+    # and g keeps its own
+    assert conjugacy_classes(g) == want and counted_conjugation.built == 2
+    # a table over a plain set builds its classes once, then reads them
     plain = FiniteGroupTable(2, 5, g.generators, frozenset(g.elements))
     assert conjugacy_classes(plain) == conjugacy_classes(plain) == want
-    assert counted_conjugation.built == 6
+    assert counted_conjugation.built == 3
+    # generators of a cyclic subgroup only: refused, not its orbits
+    cyclic = FiniteGroupTable(2, 5, g.generators[:1], g.elements)
+    with pytest.raises(ValueError, match="order 5, not 120"):
+        conjugacy_classes(cyclic)
 
 
 def test_a_normal_subgroups_table_finds_its_enlarging_generators_once(monkeypatch):
@@ -1021,3 +1021,36 @@ def test_caller_built_tables_are_frozen():
     assert len(out) == 13
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == "7fbfef5c7f61862ad1a38623b3166eff336fed75bd6452a763dc07e3b962c118"
+
+
+def test_generators_of_a_proper_subgroup_are_refused():
+    # once answered with the orbits of <[[1, 1], [0, 1]]>: 12 "classes" for 7,
+    # no normality witness, and normal subgroup orders [1, 2, 3, 6, 8, 24]
+    g = sl(2, 3)
+    part = FiniteGroupTable(2, 3, g.generators[:1], g.elements)
+    shear = enumerate_group([ResidueMatrix([[1, 1], [0, 1]], 3)], 2, 3)
+    assert find_normality_violation(shear, g) is not None
+    queries = (
+        conjugacy_classes,
+        normal_subgroups,
+        lambda table: find_normality_violation(shear, table),
+        lambda table: find_normality_violation(table, g),
+        lambda table: power_subgroup(table, table.generators, 2),
+    )
+    for query in queries:
+        with pytest.raises(ValueError, match=r"generate a group of order 3, not 24"):
+            query(part)
+
+
+def test_a_table_refuses_elements_of_another_size_or_modulus():
+    g = sl(2, 3)
+    for stray in (
+        ResidueMatrix([[1, 1], [0, 1]], 4),
+        ResidueMatrix.identity(3, 3),
+        IntMatrix.identity(2),
+        ((1, 0), (0, 1)),
+    ):
+        with pytest.raises(ValueError, match="is not a 2x2 matrix over Z_3"):
+            FiniteGroupTable(2, 3, g.generators, frozenset([*g.elements, stray]))
+    with pytest.raises(ValueError, match="elements over Z_3, not Z_4"):
+        FiniteGroupTable(2, 4, (), g.elements)
