@@ -634,6 +634,43 @@ def test_sl3_z4_enumeration_budget():
     assert elapsed < 4.0
 
 
+def test_dimino_groups_and_enlarging_positions_are_frozen():
+    # digest of `_dimino`'s sorted rows and enlarging positions on seeded
+    # conjugated and shuffled elementary generators, GL_2(Z_9) with the
+    # identity and a repeated generator, n = 1 and no generators; each case's
+    # size guard trips one below its order and passes at it
+    rng = random.Random(2001)
+    cases = []
+    for n, ms in ((2, (4, 5, 7, 8, 9, 11, 31)), (3, (2, 3, 4))):
+        for m in ms:
+            gens = conjugated_elementary_generators(n, m, 2000 + m)
+            rng.shuffle(gens)
+            cases.append((gens, n, m))
+    gl = [
+        ResidueMatrix([[2, 0], [0, 1]], 9),
+        ResidueMatrix([[1, 1], [0, 1]], 9),
+        ResidueMatrix([[1, 0], [1, 1]], 9),
+        ResidueMatrix([[4, 1], [3, 7]], 9),
+    ]
+    cases.append(([gl[1], ResidueMatrix.identity(2, 9), *gl, gl[2]], 2, 9))
+    cases.append(([ResidueMatrix([[3]], 7), ResidueMatrix([[2]], 7)], 1, 7))
+    cases.append(([], 2, 5))
+    out = []
+    for gens, n, m in cases:
+        gen_rows = [g.rows for g in gens]
+        rows, enlarged = finitegrp._dimino(gen_rows, n, m, 10**6)
+        if enlarged:
+            with pytest.raises(GroupSizeLimitError):
+                finitegrp._dimino(gen_rows, n, m, len(rows) - 1)
+        else:  # no coset is formed, so no cap is checked, not even 0
+            assert finitegrp._dimino(gen_rows, n, m, 0) == (rows, enlarged)
+        assert finitegrp._dimino(gen_rows, n, m, len(rows)) == (rows, enlarged)
+        out.append((n, m, sorted(rows), enlarged))
+    assert [len(o[2]) for o in out[:10]] == [sl_order(n, m) for _, n, m in cases[:10]]
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "6b4419ca166d171c0573ef65d3d6d0b6452a945c8a2fa0eac782577a6a9d481d"
+
+
 # ---------------------------------------------------------------------------
 # coset bookkeeping
 # ---------------------------------------------------------------------------
