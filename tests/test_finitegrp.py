@@ -4,9 +4,10 @@ import math
 import random
 import time
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from spheremat import finitegrp
 from spheremat.finitegrp import (
@@ -547,18 +548,79 @@ def conjugated_elementary_generators(n, m, seed):
 
 @pytest.mark.parametrize("n, m", [(3, 4), (2, 31)])
 def test_enumeration_forms_about_one_product_per_element(monkeypatch, n, m):
-    calls = 0
-    image = finitegrp._image
+    # each new element is n row-image lookups; each product is formed once
+    lookups = 0
+    missing = Counter()  # (memo, row) -> products formed
+    get = finitegrp._RowImages.__getitem__
+    form = finitegrp._RowImages.__missing__
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return image(*args)
+    def counted_get(self, v):
+        nonlocal lookups
+        lookups += 1
+        return get(self, v)
 
-    monkeypatch.setattr(finitegrp, "_image", counted)
+    def counted_missing(self, v):
+        missing[id(self), v] += 1
+        return form(self, v)
+
+    monkeypatch.setattr(finitegrp._RowImages, "__getitem__", counted_get)
+    monkeypatch.setattr(finitegrp._RowImages, "__missing__", counted_missing)
     table = enumerate_group(conjugated_elementary_generators(n, m, 31), n, m)
     assert table.order == sl_order(n, m)
-    assert calls < 2 * table.order
+    assert lookups < 2 * n * table.order
+    assert missing and max(missing.values()) == 1
+
+
+def test_the_size_guard_trips_before_the_coset_that_would_pass_it(monkeypatch):
+    n, m, cap = 3, 4, 4608  # six cosets of the 768-element third group of the chain
+    gens = conjugated_elementary_generators(n, m, 31)
+    rows = [g.rows for g in gens]
+    _, enlarged = finitegrp._dimino(rows, n, m, 43008)
+    orders = [1] + [len(finitegrp._dimino(rows[: i + 1], n, m, 43008)[0]) for i in enlarged]
+    assert orders == [1, 4, 16, 768, 43008]
+    # step i probes each representative so far, up to the cap, by its i images
+    probes = sum(
+        i * (min(after, cap) // before)
+        for i, (before, after) in enumerate(zip(orders, orders[1:]), 1)
+    )
+    assert probes == 180
+    lookups = 0
+    get = finitegrp._RowImages.__getitem__
+
+    def counted(self, v):
+        nonlocal lookups
+        lookups += 1
+        return get(self, v)
+
+    monkeypatch.setattr(finitegrp._RowImages, "__getitem__", counted)
+    with pytest.raises(GroupSizeLimitError, match="exceeds 4608"):
+        enumerate_group(gens, n, m, max_size=cap)
+    # every element but the identity formed, then no more: forming the
+    # seventh coset before checking would cost n * 768 more lookups
+    assert n * (cap - 1) < lookups <= n * (cap + probes) < n * (cap - 1 + 768)
+
+
+@st.composite
+def unit_generator_lists(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 9))
+    entries = st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    units = entries.map(lambda rows: ResidueMatrix(rows, m)).filter(lambda x: math.gcd(x.det(), m) == 1)
+    return draw(st.lists(units, max_size=4)), n, m
+
+
+@seed(2020)
+@settings(max_examples=150, deadline=None)
+@given(unit_generator_lists())
+def test_enumeration_matches_naive_closure(case):
+    gens, n, m = case
+    cap = 600
+    want = naive_closure(gens, n, m, cap)
+    if want is None:
+        with pytest.raises(GroupSizeLimitError):
+            enumerate_group(gens, n, m, max_size=cap)
+    else:
+        assert enumerate_group(gens, n, m, max_size=cap).elements.rows == want
 
 
 def test_large_enumerations_match_order_formula_and_naive_closure():
@@ -1091,3 +1153,27 @@ def test_a_table_refuses_elements_of_another_size_or_modulus():
             FiniteGroupTable(2, 3, g.generators, frozenset([*g.elements, stray]))
     with pytest.raises(ValueError, match="elements over Z_3, not Z_4"):
         FiniteGroupTable(2, 4, (), g.elements)
+
+
+def test_a_table_refuses_generators_and_views_of_another_size_or_modulus():
+    # once built without error: the first query raised `GroupSizeLimitError:
+    # group exceeds 24 elements` on the 3x3 table, and failed on the stray
+    g = sl(2, 3)
+    with pytest.raises(ValueError, match="elements of size 2, not 3"):
+        FiniteGroupTable(3, 3, g.generators, g.elements)
+    for stray in (
+        ResidueMatrix([[1, 1], [0, 1]], 5),
+        ResidueMatrix.identity(3, 3),
+        IntMatrix.identity(2),
+        ((1, 0), (0, 1)),
+    ):
+        for elements in (g.elements, frozenset(g.elements)):
+            with pytest.raises(ValueError, match="is not a 2x2 matrix over Z_3"):
+                FiniteGroupTable(2, 3, (*g.generators, stray), elements)
+
+
+def test_enumeration_refuses_a_generator_that_is_not_a_residue_matrix():
+    # once a bare AttributeError: 'IntMatrix' object has no attribute 'm'
+    for stray in (IntMatrix([[1, 1], [0, 1]]), ((1, 1), (0, 1))):
+        with pytest.raises(ValueError, match="is not a ResidueMatrix"):
+            enumerate_group([ResidueMatrix.identity(2, 5), stray], 2, 5)
