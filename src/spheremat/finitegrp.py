@@ -19,11 +19,14 @@ the table keeps rows: a packed Dimino in the same iteration ran at 0.71-1.12x
 this one's speed, and at 0.50-0.63x with its codes unpacked to rows, on
 SL_2(Z_11) to SL_3(Z_5) (2-vCPU VM).
 
-Conjugation runs on packed integer codes (`_Conjugation`), where
+Conjugacy classes run on packed integer codes (`_Conjugation`), where
 x -> g x g^-1 is n table lookups, n - 1 integer adds and n memo lookups, and
-an orbit is a set of ints. Queries conjugate only by the generators that
-enlarged the group in `_dimino` (`_enlarging`): each other generator is a
-product of earlier ones, so it adds no orbit and no normality witness.
+an orbit is a set of ints. Its tables, a pass over all rows per generator,
+pay off only when every element is conjugated; a normality check tests one
+conjugate per pair of generators, so it forms g h g^-1 as plain products.
+Queries conjugate only by the generators that enlarged the group in `_dimino`
+(`_enlarging`): each other generator is a product of earlier ones, so it
+adds no orbit and no normality witness.
 
 A table's `elements` and each conjugacy class are `_Elements` views over a
 frozenset of row tuples. Membership, size and comparisons between views
@@ -227,9 +230,6 @@ class _Conjugation:
             self.elements[code] = x
         self.reduced: dict[int, int] = {}  # a row of a sum of tables -> its code
 
-    def code(self, rows: _Rows) -> int:
-        return _pack(map(self.rows.__getitem__, rows), self.width)
-
     def tables(self, g: ResidueMatrix) -> _Tables:
         """(table, shift of row k) for each column k of g."""
         m, bits = self.m, self.bits
@@ -290,6 +290,8 @@ def _dimino(
     coset that would pass it is formed. The rows must come from matrices with
     unit determinant mod m.
     """
+    if max_size < 1:  # even the trivial group has one element
+        raise GroupSizeLimitError(f"group exceeds {max_size} elements")
     ident = ResidueMatrix.identity(n, m).rows
     seen = {ident}
     found = [ident]
@@ -344,8 +346,8 @@ def _enlarging(group: FiniteGroupTable) -> tuple[ResidueMatrix, ...]:
         for g in gens:
             if g not in view:
                 raise ValueError(f"generator {g.rows} is not among the table's elements")
-        # every generator is an element, so their group fits in the table
-        rows, enlarged = _dimino([g.rows for g in gens], group.n, group.m, len(view))
+        # every generator is an element, so their group fits in the table (or is {1})
+        rows, enlarged = _dimino([g.rows for g in gens], group.n, group.m, max(len(view), 1))
         if len(rows) != len(view) or not view.rows.issuperset(rows):
             raise ValueError(f"the generators generate a group of order {len(rows)}, not {len(view)}")
         view.enlarging = tuple(gens[i] for i in enlarged)
@@ -394,12 +396,11 @@ def power_subgroup(
         if not sub.elements <= group.elements:
             raise ValueError("given generators do not lie inside the ambient group")
     classes = conjugacy_classes(sub)
-    index = {r: i for i, c in enumerate(classes) for r in c.rows}  # row tuple -> its class
-    hit = {index[(next(iter(c)) ** t).rows] for c in classes}
-    rows = sorted(r for i in hit for r in classes[i].rows)
+    powers = {(next(iter(c)) ** t).rows for c in classes}
+    rows = sorted(r for c in classes if not c.rows.isdisjoint(powers) for r in c.rows)
     # powers of checked elements: their determinants are units
-    powers = list(map(ResidueMatrix._trusted, rows, repeat(group.m)))
-    return _table(powers, group.n, group.m, max_size)
+    gens = list(map(ResidueMatrix._trusted, rows, repeat(group.m)))
+    return _table(gens, group.n, group.m, max_size)
 
 
 def find_normality_violation(
@@ -414,19 +415,17 @@ def find_normality_violation(
     are tried, in their order: a generator g that did not is a product of
     earlier ones, which all normalize the subgroup if none gave a pair, so g
     gives none either; the same holds for h within the subgroup. The pair
-    found is the first one among all generators."""
+    found is the first one among all generators. Each conjugate is two plain
+    products and one lookup of its rows."""
     if subgroup.n != group.n or subgroup.m != group.m:
         raise ValueError("dimension or modulus mismatch")
     if not subgroup.elements <= group.elements:
         raise ValueError("first argument is not contained in the second")
     hs = _enlarging(subgroup)
-    gs = _enlarging(group)
-    conjugate = _Conjugation(subgroup.elements, group.n, group.m)
-    codes = [conjugate.code(h.rows) for h in hs]
-    for g in gs:
-        by = [conjugate.tables(g)]
-        for h, x in zip(hs, codes):
-            if conjugate(x, by)[0] not in conjugate.elements:
+    for g in _enlarging(group):
+        g_inv = g.inverse()
+        for h in hs:
+            if g * h * g_inv not in subgroup.elements:
                 return (g, h)
     return None
 

@@ -12,15 +12,15 @@ on the sphere dimension k:
 * even k:         it has infinite order, so every a_js a_ls must vanish.
 
 `subgroups._row_pair_violations` is the one scan of this rule; `classify`
-lists its witnesses. For even k the verdict is `is_signed_permutation`.
+lists its witnesses. For even k a unimodular matrix passes iff no two rows
+share a nonzero column, that is, iff it is a signed permutation.
 """
 
 from __future__ import annotations
 
 from ._record import record
 from .intmat import IntMatrix
-from .subgroups import K_CLASSES, K_EVEN, is_signed_permutation, k_to_class
-from .subgroups import _row_pair_violations
+from .subgroups import K_CLASSES, _row_pair_violations, k_to_class
 
 
 @record
@@ -77,8 +77,6 @@ def classify(a: IntMatrix, k_class: str) -> ObstructionVerdict:
         raise ValueError(f"unknown k class {k_class!r}")
     if a.det() not in (1, -1):
         raise ValueError("matrix must be unimodular")
-    if k_class == K_EVEN and is_signed_permutation(a):
-        return ObstructionVerdict(k_class, True, ())
     # a list first: tuple(generator) reallocates as it grows, fragmenting the heap
     violations = list(_row_pair_violations(a, k_class))
     return ObstructionVerdict(k_class, not violations, tuple(violations))

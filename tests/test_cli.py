@@ -120,10 +120,16 @@ def test_coset_non_member(capsys, write_matrix):
     assert code == 1 and payload["member"] is False
 
 
-def test_coset_no_verify_marks_unverified(capsys, write_matrix):
+def test_no_verify_is_refused(capsys, write_matrix):
+    # every result is checked: no switch skips a check or relabels a result
     path = write_matrix([[1, 0], [0, 1]])
-    code, payload = run_json(capsys, ["coset", path, "--no-verify"])
-    assert code == 0 and payload["verification"] == "UNVERIFIED"
+    for argv in (["coset", path], ["decompose", path], ["obstruction", path, "--k-class", "odd"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-verify"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --no-verify" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +332,15 @@ def test_obstruction_cross_check_failure_is_verification_failure(
 ):
     import spheremat.obstruction as obstruction
 
-    monkeypatch.setattr(obstruction, "cross_consistency", lambda a, j, l: False)
     path = write_matrix([[1, 2], [0, 1]])
+    # while the check passes, the verdict sets the exit code
+    code, payload = run_json(capsys, ["obstruction", path, "--k-class", k_class])
+    assert code == status and payload["realizable"] is (status == 0)
+    monkeypatch.setattr(obstruction, "cross_consistency", lambda a, j, l: False)
     assert main(["obstruction", path, "--k-class", k_class]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "verification failed: cross-coefficient check failed\n"
-    # --no-verify skips the check, so the verdict sets the exit code
-    code, payload = run_json(capsys, ["obstruction", path, "--k-class", k_class, "--no-verify"])
-    assert code == status and payload["realizable"] is (status == 0)
-    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +844,14 @@ def test_malformed_matrix_is_input_error(tmp_path, capsys):
     bad.write_text("banana\n")
     assert main(["member", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"])
+def test_file_without_a_matrix_is_input_error(tmp_path, capsys, text):
+    empty = tmp_path / "empty.txt"
+    empty.write_text(text)
+    assert main(["member", str(empty)]) == 2
+    assert capsys.readouterr().err == "error: no matrix found\n"
 
 
 def test_json_output_is_deterministic(capsys, write_matrix):

@@ -672,7 +672,9 @@ def test_size_cap_counts_the_identity():
         with pytest.raises(GroupSizeLimitError):
             enumerate_group(gens, n, m, max_size=order - 1)
         assert enumerate_group(gens, n, m, max_size=order).order == order
-    assert enumerate_group([], 2, 5, max_size=0).order == 1
+    with pytest.raises(GroupSizeLimitError):
+        enumerate_group([], 2, 5, max_size=0)
+    assert enumerate_group([], 2, 5, max_size=1).order == 1
 
 
 def test_small_subgroup_of_a_huge_modulus():
@@ -721,11 +723,8 @@ def test_dimino_groups_and_enlarging_positions_are_frozen():
     for gens, n, m in cases:
         gen_rows = [g.rows for g in gens]
         rows, enlarged = finitegrp._dimino(gen_rows, n, m, 10**6)
-        if enlarged:
-            with pytest.raises(GroupSizeLimitError):
-                finitegrp._dimino(gen_rows, n, m, len(rows) - 1)
-        else:  # no coset is formed, so no cap is checked, not even 0
-            assert finitegrp._dimino(gen_rows, n, m, 0) == (rows, enlarged)
+        with pytest.raises(GroupSizeLimitError):
+            finitegrp._dimino(gen_rows, n, m, len(rows) - 1)
         assert finitegrp._dimino(gen_rows, n, m, len(rows)) == (rows, enlarged)
         out.append((n, m, sorted(rows), enlarged))
     assert [len(o[2]) for o in out[:10]] == [sl_order(n, m) for _, n, m in cases[:10]]
@@ -969,6 +968,13 @@ def counted_conjugation(monkeypatch):
     return CountedConjugation
 
 
+def test_an_empty_table_is_refused():
+    empty = FiniteGroupTable(2, 5, (), frozenset())
+    for query in (conjugacy_classes, normal_subgroups, lambda t: is_normal(t, t)):
+        with pytest.raises(ValueError, match="group of order 1, not 0"):
+            query(empty)
+
+
 @pytest.mark.parametrize("extra", [False, True])
 def test_a_generator_outside_the_table_is_named(extra):
     cyclic = enumerate_group([ResidueMatrix([[1, 1], [0, 1]], 5)], 2, 5)
@@ -981,16 +987,26 @@ def test_a_generator_outside_the_table_is_named(extra):
         find_normality_violation(cyclic, table)
 
 
-def test_whole_table_queries_conjugate_by_the_enlarging_generators(counted_conjugation):
+def test_whole_table_queries_conjugate_by_the_enlarging_generators(
+    counted_conjugation, monkeypatch
+):
     # 384 generators, of which 2 enlarge the group when taken in order
     whole = normal_subgroups(sl(2, 8))[-1]
     assert len(whole.generators) == 384
     counted_conjugation.tables_built = 0
     conjugacy_classes(whole)
     assert counted_conjugation.tables_built == 2
-    counted_conjugation.tables_built = 0
+    inverses = 0
+    inverse = ResidueMatrix.inverse
+
+    def counted(self):
+        nonlocal inverses
+        inverses += 1
+        return inverse(self)
+
+    monkeypatch.setattr(ResidueMatrix, "inverse", counted)
     assert is_normal(whole, whole)
-    assert counted_conjugation.tables_built == 2
+    assert inverses == 2
 
 
 def test_power_subgroup_powers_one_representative_per_class(monkeypatch):

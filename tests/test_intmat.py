@@ -215,6 +215,12 @@ def test_parse_matrix_rejects_malformed():
         parse_matrix("1\n1\nextra")
 
 
+@pytest.mark.parametrize("text", ["", "\n", " \n\t\n\n"])
+def test_parse_matrix_rejects_text_without_a_matrix(text):
+    with pytest.raises(MatrixFormatError, match="no matrix found"):
+        parse_matrix(text)
+
+
 def test_parse_matrix_ignores_trailing_blank_lines():
     want = IntMatrix.identity(2)
     assert parse_matrix("2\n1 0\n0 1\n\n") == want

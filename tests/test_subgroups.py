@@ -78,6 +78,16 @@ def test_coset_certificate_tau_times_generator():
     assert cert.verify(tau_matrix(3) * e)
 
 
+def test_coset_certificate_verify_rejects_another_matrix():
+    # b lies in the coset of a: sigma and the residual pass, the product does not
+    e = elementary_matrix(3, 1, 2, 2)
+    a, b = tau_matrix(3) * e, tau_matrix(3) * e * e
+    assert in_W2(a) and in_W2(b)
+    cert = coset_certificate(a)
+    assert cert.verify(a)
+    assert not cert.verify(b)
+
+
 def test_coset_certificate_rejects_non_member():
     with pytest.raises(NotInGroupError):
         coset_certificate(elementary_matrix(2, 1, 2))

@@ -66,6 +66,11 @@ def test_symbol_matrix_range_errors():
         GeneratorWord(1, ((TAU, -5),)).matrix()
 
 
+def test_zero_exponent_letter_rejected():
+    with pytest.raises(ValueError, match="nonzero exponent"):
+        GeneratorWord(2, ((E(1, 2), 0),))
+
+
 def test_odd_permutation_letters_rejected():
     with pytest.raises(ValueError):
         P(Permutation.transposition(3, 1, 2))
