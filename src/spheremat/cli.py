@@ -51,6 +51,11 @@ if TYPE_CHECKING:
 
 SCHEMA = "spheremat/1"
 
+# `degree` differentiates at this geodesic step h. The circle power map
+# z -> z^r then measures sin(r*h)/h in place of r, so |r|*h is bounded.
+_DEGREE_STEP = 1e-5
+_MAX_POWER_STEP = 0.01
+
 
 def _read_text(source: str) -> str:
     return sys.stdin.read() if source == "-" else Path(source).read_text()
@@ -324,6 +329,11 @@ def _degree_map(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
 
     r = args.power
     _require_float_range(r, "--power")
+    if abs(r) * _DEGREE_STEP > _MAX_POWER_STEP:
+        raise ValueError(
+            f"--power {r} gives |r|*h = {abs(r) * _DEGREE_STEP:g} at the step "
+            f"h = {_DEGREE_STEP:g}; past {_MAX_POWER_STEP:g} the estimate drifts from r"
+        )
 
     def power(pts: np.ndarray) -> np.ndarray:
         z = pts[:, 0] + 1j * pts[:, 1]
@@ -338,7 +348,7 @@ def _cmd_degree(args: argparse.Namespace) -> tuple:
 
     fn = _degree_map(args)
     estimate, stderr = degree_estimate_details(
-        fn, args.k, sample_count=args.samples, seed=args.seed, step=args.step
+        fn, args.k, sample_count=args.samples, seed=args.seed, step=_DEGREE_STEP
     )
     payload = {
         "map": args.map,
@@ -391,11 +401,15 @@ def _cmd_induced(args: argparse.Namespace) -> tuple:
     from .spheres import PhaseAmbiguityError, induced_matrix_on_torus
 
     fn, expected = _induced_map_and_expected(args)
+    # a loop of R samples steps entry a's phase by 2*pi*a/R, below the pi/2
+    # the check allows when R > 4*|a|
+    peak = max(abs(x) for row in expected.rows for x in row)
+    resolution = max(1024, 4 * peak + 1)
     try:
-        measured = induced_matrix_on_torus(fn, args.n, resolution=args.resolution)
+        measured = induced_matrix_on_torus(fn, args.n, resolution=resolution)
     except PhaseAmbiguityError as exc:  # a RuntimeError: report it as a failed check
         raise AssertionError(str(exc)) from exc
-    payload = {"n": args.n, "resolution": args.resolution, "measured": _rows(measured)}
+    payload = {"n": args.n, "resolution": resolution, "measured": _rows(measured)}
     payload["expected"] = _rows(expected)
     payload["matches"] = measured == expected
     return (0 if payload["matches"] else 3), payload
@@ -437,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=["json", "text"], default="json", help="output format"
         )
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, parser=p)
         return p
 
     k_class_choices = ["hopf", "odd", "odd_generic", "even"]
@@ -495,14 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["identity", "antipodal", "psi", "power"],
         default="identity",
     )
-    p.add_argument("--power", type=int, default=2, help="exponent for --map power")
+    p.add_argument("--power", type=int, default=2, help="exponent for --map power, |r| <= 1000")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5)
 
     p = add("induced", "measure the homology matrix of a torus self-map", _cmd_induced)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=1024)
     p.add_argument("--matrix", help="measure the monomial map of this matrix")
     p.add_argument("--word", help="measure the composite of elementary letters")
     p.add_argument(
@@ -520,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:  # the usage of the subcommand they were given to
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         status, payload, *text = args.func(args)
         payload.update(schema=SCHEMA, command=args.command)

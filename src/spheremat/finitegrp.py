@@ -135,7 +135,8 @@ class FiniteGroupTable:
     view it is given), so membership is one hash lookup of rows, and a row
     of many elements is stored once. Iterating it builds the matrices.
     Raises ValueError for a member or generator of another size or modulus,
-    or a view over another modulus or of another size.
+    a view over another modulus or of another size, or elements without the
+    identity.
     """
 
     n: int
@@ -156,6 +157,8 @@ class FiniteGroupTable:
             for x in islice(elements.rows, 1):
                 if len(x) != n:
                     raise ValueError(f"elements of size {len(x)}, not {n}")
+        if ResidueMatrix.identity(n, m).rows not in elements.rows:
+            raise ValueError(f"the elements lack the {n}x{n} identity over Z_{m}")
         for g in self.generators:
             if not (isinstance(g, ResidueMatrix) and g.n == n and g.m == m):
                 raise ValueError(f"generator {g!r} is not a {n}x{n} matrix over Z_{m}")

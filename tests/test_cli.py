@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -23,6 +22,8 @@ from spheremat.finitegrp import GroupSizeLimitError
 from spheremat.intmat import IntMatrix, elementary_matrix, format_matrix, tau_matrix
 from spheremat.obstruction import classify
 from spheremat.words import WordLengthError
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture
@@ -130,6 +131,30 @@ def test_no_verify_is_refused(capsys, write_matrix):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --no-verify" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, extras",
+    [
+        (["induced", "--n", "2", "--construction", "reflection-shear", "--resolution", "256"],
+         "--resolution 256"),
+        (["degree", "--k", "1", "--step", "1e-5"], "--step 1e-5"),
+        (["coset", "M", "--bogus"], "--bogus"),
+    ],
+    ids=["induced-resolution", "degree-step", "coset-bogus"],
+)
+def test_unknown_options_are_subcommand_usage_errors(capsys, write_matrix, argv, extras):
+    # the resolution and the step are worked out from the input, not set
+    matrix = write_matrix([[1, 0], [0, 1]])
+    with pytest.raises(SystemExit) as exc:
+        main([matrix if arg == "M" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: spheremat {argv[0]} ")
+    assert captured.err.endswith(
+        f"\nspheremat {argv[0]}: error: unrecognized arguments: {extras}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +453,28 @@ def test_degree_power_map(capsys):
     assert main(["degree", "--k", "2", "--map", "power"]) == 2
 
 
-@pytest.mark.parametrize("step", ["0", "nan", "inf", "-inf"])
-def test_degree_rejects_zero_or_nonfinite_step(capsys, step):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["degree", "--k", "1", "--samples", "1000", f"--step={step}"])
+@pytest.mark.parametrize("power", [1000, -1000])
+def test_degree_power_at_the_step_bound(capsys, power):
+    argv = ["degree", "--k", "1", "--map", "power", "--power", str(power), "--samples", "1000"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["nearest_integer"] == power
+
+
+@pytest.mark.parametrize(
+    "power, product",
+    [(1001, "0.01001"), (-1001, "0.01001"), (10**6, "10"), (10**20, "1e+15")],
+)
+def test_degree_power_past_the_step_bound_is_input_error(capsys, power, product):
+    # once exit 0: --power 1000000 printed the estimate -54402.11, stderr 3e-07
+    argv = ["degree", "--k", "1", "--map", "power", "--power", str(power), "--samples", "1000"]
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        f"error: finite-difference step must be nonzero and finite, got {float(step)}\n"
+        f"error: --power {power} gives |r|*h = {product} at the step h = 1e-05; "
+        "past 0.01 the estimate drifts from r\n"
     )
-    assert caught == []
 
 
 def test_induced_matrix_measurement(capsys, write_matrix):
@@ -469,6 +504,18 @@ def test_induced_word_and_construction(capsys):
     assert payload["measured"] == [[1, 2], [0, 1]]
 
 
+@pytest.mark.parametrize("b", [257, 1000, -3000])
+def test_induced_resolution_follows_the_largest_entry(capsys, write_matrix, b):
+    # once exit 3 at the fixed resolution 1024: b = 257 a phase jump near pi,
+    # b = 1000 measured -24
+    path = write_matrix([[1, b], [0, 1]])
+    code, payload = run_json(capsys, ["induced", "--n", "2", "--matrix", path])
+    assert code == 0
+    assert payload["matches"] is True
+    assert payload["measured"] == [[1, b], [0, 1]]
+    assert payload["resolution"] == 4 * abs(b) + 1
+
+
 def test_induced_requires_exactly_one_source(write_matrix):
     path = write_matrix([[1, 0], [0, 1]])
     assert main(["induced", "--n", "2"]) == 2
@@ -488,15 +535,18 @@ def test_induced_construction_below_two_factors_is_input_error(capsys, n, constr
     assert captured.err == "error: need at least two circle factors\n"
 
 
-def test_induced_resolution_past_the_memory_cap_is_input_error(capsys):
-    argv = ["induced", "--n", "2", "--construction", "reflection-shear", "--resolution", str(10**12)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: resolution 1000000000000 at n = 2 needs about 244140626 MiB, "
-        "over the cap of 1024 MiB\n"
-    )
+def test_induced_resolution_past_the_memory_cap_is_input_error(capsys, write_matrix):
+    # an entry b needs the resolution 4|b| + 1; b = 10^19 once printed numpy
+    # RuntimeWarnings before its error
+    for b, mib in ((10**12, 976562501), (10**19, 9765625000000001), (10**20, 97656250000000001)):
+        path = write_matrix([[1, b], [0, 1]])
+        assert main(["induced", "--n", "2", "--matrix", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: resolution {4 * b + 1} at n = 2 needs about {mib} MiB, "
+            "over the cap of 1024 MiB\n"
+        )
 
 
 def test_degree_samples_past_the_memory_cap_are_input_error(capsys):
