@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -138,10 +139,9 @@ def test_no_verify_is_refused(capsys, write_matrix):
     [
         (["induced", "--n", "2", "--construction", "reflection-shear", "--resolution", "256"],
          "--resolution 256"),
-        (["degree", "--k", "1", "--step", "1e-5"], "--step 1e-5"),
         (["coset", "M", "--bogus"], "--bogus"),
     ],
-    ids=["induced-resolution", "degree-step", "coset-bogus"],
+    ids=["induced-resolution", "coset-bogus"],
 )
 def test_unknown_options_are_subcommand_usage_errors(capsys, write_matrix, argv, extras):
     # the resolution and the step are worked out from the input, not set
@@ -451,6 +451,24 @@ def test_degree_power_map(capsys):
     assert code == 0
     assert payload["nearest_integer"] == -3
     assert main(["degree", "--k", "2", "--map", "power"]) == 2
+
+
+@pytest.mark.parametrize("step", ["0", "nan", "inf", "-inf"])
+def test_degree_rejects_zero_or_nonfinite_step(capsys, step):
+    # the step is fixed at 1e-5, so any --step, zero and non-finite ones
+    # included, is a usage error of degree rather than a value to check
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            main(["degree", "--k", "1", "--samples", "1000", f"--step={step}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: spheremat degree ")
+    assert captured.err.endswith(
+        f"\nspheremat degree: error: unrecognized arguments: --step={step}\n"
+    )
+    assert caught == []
 
 
 @pytest.mark.parametrize("power", [1000, -1000])
