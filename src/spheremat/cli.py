@@ -532,9 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args, extras = build_parser().parse_known_args(argv)
-    if extras:  # the usage of the subcommand they were given to
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # the usage of the parser they were given to
+        given = sys.argv[1:] if argv is None else list(argv)
+        # the top-level parser has no option but -h, so any token before
+        # the subcommand is an unknown option of its own
+        ahead = given[: given.index(args.command)]
+        (parser if ahead else args.parser).error(
+            f"unrecognized arguments: {' '.join(ahead or extras)}"
+        )
     try:
         status, payload, *text = args.func(args)
         payload.update(schema=SCHEMA, command=args.command)

@@ -1,7 +1,8 @@
 """Coset enumeration of matrix groups over Z_m, plus structure checks.
 
 Everything here is desk scale: groups are held as hash sets of row tuples,
-under a size cap so a typo in the modulus fails fast.
+under a size cap so a typo in the modulus fails fast. Each element is hashed
+once, into the one set `_dimino` builds, and a table keeps that set.
 
 Two layouts serve two jobs, both for the orbit algorithms of Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory* (2005), ch. 4.
@@ -29,9 +30,13 @@ Queries conjugate only by the generators that enlarged the group in `_dimino`
 adds no orbit and no normality witness.
 
 A table's `elements` and each conjugacy class are `_Elements` views over a
-frozenset of row tuples. Membership, size and comparisons between views
-touch rows only; a row tuple becomes a `ResidueMatrix`, without
-re-validation, only when a caller iterates, and again on each iteration.
+set of row tuples: for a table `_table` builds, the very set `_dimino`
+filled, adopted without a copy (a frozenset copy would hash every element a
+second time, and row tuples do not cache their hashes); for a class or a
+table from `normal_subgroups`, a frozenset. Membership, size and
+comparisons between views touch rows only; a row tuple becomes a
+`ResidueMatrix`, without re-validation, only when a caller iterates, and
+again on each iteration.
 
 Each table owns its view (`FiniteGroupTable` wraps any set it is given in a
 fresh one), and the view keeps what the table's queries derive: the
@@ -69,8 +74,12 @@ _Tables = list[tuple[dict[int, int], int]]  # see `_Conjugation.tables`
 
 
 class _Elements(Set):
-    """A read-only set of `ResidueMatrix` held as the frozenset `rows` of
-    their row tuples, all over Z_m.
+    """A read-only set of `ResidueMatrix` held as the set `rows` of their
+    row tuples, all over Z_m.
+
+    The view owns `rows`: a `set` handed over by `_dimino` or a frozenset,
+    and nothing mutates it after the view is made, so the cached hash stays
+    valid.
 
     Size, membership, and `<=` or `==` against another view touch rows only,
     so a lookup is one hash of nested int tuples. Iteration wraps each row
@@ -84,7 +93,7 @@ class _Elements(Set):
 
     __slots__ = ("rows", "m", "_hash", "enlarging", "classes")
 
-    def __init__(self, rows: frozenset[_Rows], m: int):
+    def __init__(self, rows: Set[_Rows], m: int):
         self.rows = rows
         self.m = m
         self._hash = None
@@ -276,9 +285,10 @@ class _Conjugation:
 
 def _dimino(
     gen_rows: Sequence[_Rows], n: int, m: int, max_size: int
-) -> tuple[list[_Rows], list[int]]:
-    """Rows of every element of the group generated by `gen_rows` (Dimino),
-    and the positions in `gen_rows` of the generators that enlarged it.
+) -> tuple[set[_Rows], list[int]]:
+    """The set of the rows of every element of the group generated by
+    `gen_rows` (Dimino), and the positions in `gen_rows` of the generators
+    that enlarged it.
 
     Dimino's algorithm (Butler, *Fundamental Algorithms for Permutation
     Groups*, LNCS 559, 1991): with G_0 = {1} and G_i = <G_{i-1}, g_i>, G_i is
@@ -286,9 +296,11 @@ def _dimino(
     consecutive entries of the element list, headed by its representative r.
     If r s is new for a generator s, the block times s is a whole new coset,
     formed column by column through s's `_RowImages`: a new element costs n
-    memo lookups and one set insertion. No inverses are needed: a finite
-    group is closed once it is closed under the generators. A generator
-    already in the group is skipped; the others enlarged it.
+    memo lookups and one set insertion, its only hashing. The element list
+    stays internal; the set is returned for the caller to keep, so no element
+    is hashed again. No inverses are needed: a finite group is closed once it
+    is closed under the generators. A generator already in the group is
+    skipped; the others enlarged it.
     Raises `GroupSizeLimitError` iff the order exceeds `max_size`, before the
     coset that would pass it is formed. The rows must come from matrices with
     unit determinant mod m.
@@ -319,7 +331,7 @@ def _dimino(
                 seen.update(coset)
                 found += coset
             start += size
-    return found, enlarged
+    return seen, enlarged
 
 
 def _table(gens: Sequence[ResidueMatrix], n: int, m: int, max_size: int) -> FiniteGroupTable:
@@ -328,7 +340,7 @@ def _table(gens: Sequence[ResidueMatrix], n: int, m: int, max_size: int) -> Fini
     Its view keeps the generators that enlarged the group."""
     gens = tuple(gens)
     rows, enlarged = _dimino([g.rows for g in gens], n, m, max_size)
-    table = FiniteGroupTable(n=n, m=m, generators=gens, elements=_Elements(frozenset(rows), m))
+    table = FiniteGroupTable(n=n, m=m, generators=gens, elements=_Elements(rows, m))
     table.elements.enlarging = tuple(gens[i] for i in enlarged)
     return table
 

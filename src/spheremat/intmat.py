@@ -29,9 +29,9 @@ class GroupSizeLimitError(RuntimeError):
 
 
 # What the cap allows, from `enumerate_group` on SL_3(Z_4) (order 43 008) and
-# SL_3(Z_5) (order 372 000), Python 3.11 on a shared 2-vCPU VM: 0.8-0.9 and
-# 1.0-1.2 us per element; ~110 B per element kept (tracemalloc), 134-141 B at
-# the peak, 131-158 B of peak RSS. So 10^7 elements take about 12 s and 1.6 GB.
+# SL_3(Z_5) (order 372 000), Python 3.11 on a shared 2-vCPU VM: 0.6-0.7 and
+# 0.7-0.9 us per element; ~110 B per element kept (tracemalloc), 123-129 B at
+# the peak, 116-128 B of peak RSS. So 10^7 elements take about 9 s and 1.3 GB.
 DEFAULT_MAX_SIZE = 10**7
 
 

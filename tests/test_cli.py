@@ -157,6 +157,28 @@ def test_unknown_options_are_subcommand_usage_errors(capsys, write_matrix, argv,
     )
 
 
+@pytest.mark.parametrize(
+    "argv, prog, extras",
+    [
+        (["--bogus", "coset", "M"], "spheremat", "--bogus"),
+        (["--bogus=1", "coset", "M", "--other"], "spheremat", "--bogus=1"),
+        (["coset", "--bogus", "M"], "spheremat coset", "--bogus"),
+    ],
+    ids=["before", "before-and-after", "between"],
+)
+def test_unknown_options_are_reported_by_the_parser_they_were_given_to(
+    capsys, write_matrix, argv, prog, extras
+):
+    matrix = write_matrix([[1, 0], [0, 1]])
+    with pytest.raises(SystemExit) as exc:
+        main([matrix if arg == "M" else arg for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {prog} [-h]")
+    assert captured.err.endswith(f"\n{prog}: error: unrecognized arguments: {extras}\n")
+
+
 # ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------

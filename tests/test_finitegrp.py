@@ -1069,6 +1069,22 @@ def test_the_same_view_with_other_generators_is_recomputed(counted_conjugation):
         conjugacy_classes(cyclic)
 
 
+@pytest.mark.parametrize("n, m", [(2, 5), (3, 2)])
+def test_a_view_over_the_set_dimino_built_acts_as_a_frozenset(n, m):
+    # the table adopts `_dimino`'s own set of rows, not a frozenset copy
+    g = sl(n, m)
+    frozen = frozenset(g.elements)
+    assert g.elements == frozen and frozen == g.elements
+    assert hash(g.elements) == hash(frozen)
+    plain = FiniteGroupTable(n, m, g.generators, frozen)
+    assert plain.elements == g.elements and g.elements == plain.elements
+    assert hash(plain.elements) == hash(g.elements) and plain == g
+    # generators of a proper subgroup are still refused over the adopted set
+    part = FiniteGroupTable(n, m, g.generators[:1], g.elements)
+    with pytest.raises(ValueError, match=rf"generate a group of order \d+, not {g.order}"):
+        finitegrp._enlarging(part)
+
+
 def test_a_normal_subgroups_table_finds_its_enlarging_generators_once(monkeypatch):
     whole = normal_subgroups(sl(2, 8))[-1]
     runs = 0
