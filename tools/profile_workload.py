@@ -48,12 +48,6 @@ class ProfiledCalls:
             self.seconds[f"{layer}.{fn}"] += time.perf_counter() - start
             self.calls[f"{layer}.{fn}"] += 1
 
-    def begin_op(self) -> None:
-        pass
-
-    def end_op(self, kind, failed_layer) -> None:
-        pass
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
