@@ -8,15 +8,14 @@ One exit-code convention across all subcommands:
         integer too large for the numerical tools
     3   a verification step failed, or an internal error (a bug, not bad input)
 
-Each `_cmd_*` handler computes and returns `(status, payload)`, or
-`(status, payload, text_lines)` when it has its own text layout. It raises
+Each `_cmd_*` handler computes and returns `(status, payload)`. It raises
 on bad input and writes nothing. `main` is the one output path: it adds the
-`schema` and `command` keys, writes JSON or text, and maps every exception
-onto these codes, so no subcommand ends in a traceback.
+`schema` and `command` keys, writes the payload as JSON (deterministic:
+sorted keys), and maps every exception onto these codes, so no subcommand
+ends in a traceback.
 
 Matrices are read from files (or stdin with `-`) in a plain text format:
-the first line is n, followed by n rows of n integers. Output is JSON by
-default (deterministic: sorted keys) or `--format text` for a flat dump.
+the first line is n, followed by n rows of n integers.
 """
 
 from __future__ import annotations
@@ -78,25 +77,6 @@ def _read_residues(
 
 def _rows(a) -> list[list[int]]:
     return [list(r) for r in a.rows]
-
-
-def _render_text(payload: dict) -> list[str]:
-    lines = []
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, list) and value and isinstance(value[0], list):
-            lines.append(f"{key}:")
-            for row in value:
-                lines.append("  " + " ".join(str(x) for x in row))
-        elif isinstance(value, list):
-            lines.append(f"{key}: {' '.join(str(x) for x in value)}")
-        elif isinstance(value, dict):
-            lines.append(f"{key}:")
-            for sub in sorted(value):
-                lines.append(f"  {sub}: {value[sub]}")
-        else:
-            lines.append(f"{key}: {value}")
-    return lines
 
 
 def _fail(message: str) -> int:
@@ -207,12 +187,7 @@ def _cmd_verify_identities(args: argparse.Namespace) -> tuple:
         "families": len(reports),
         "entries": [{f: getattr(r, f) for f in fields} for r in reports],
     }
-    lines = [
-        f"{r.status:>9}  {r.family:<10} {r.condition:<22} {r.instances:>4} instances"
-        for r in reports
-    ]
-    lines.append(f"audited {len(reports)} case families at n={args.n}")
-    return 0, payload, lines
+    return 0, payload
 
 
 def _cmd_obstruction(args: argparse.Namespace) -> tuple:
@@ -427,10 +402,7 @@ def _cmd_ledger(args: argparse.Namespace) -> tuple:
         ],
         "all_ok": all_ok,
     }
-    lines = [f"{'ok  ' if r.ok else 'FAIL'} {r.key}: {r.detail}" for r in results]
-    verified = sum(1 for r in results if r.ok)
-    lines.append(f"{verified}/{len(results)} identities verified")
-    return (0 if all_ok else 3), payload, lines
+    return (0 if all_ok else 3), payload
 
 
 def _cmd_hyperbolic(args: argparse.Namespace) -> tuple:
@@ -448,9 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str, handler: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--format", choices=["json", "text"], default="json", help="output format"
-        )
         p.set_defaults(func=handler, parser=p)
         return p
 
@@ -543,12 +512,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"unrecognized arguments: {' '.join(ahead or extras)}"
         )
     try:
-        status, payload, *text = args.func(args)
+        status, payload = args.func(args)
         payload.update(schema=SCHEMA, command=args.command)
-        if args.format == "json":
-            out = json.dumps(payload, sort_keys=True, indent=2)
-        else:
-            out = "\n".join(text[0] if text else _render_text(payload))
+        out = json.dumps(payload, sort_keys=True, indent=2)
     except GroupSizeLimitError as exc:
         return _fail(f"{exc} (raise --max-size if this is intentional)")
     except (ValueError, FileNotFoundError, WordLengthError, OverflowError) as exc:
