@@ -582,9 +582,9 @@ def parse_word(text: str, n: int) -> GeneratorWord:
         return GeneratorWord(n, ())
     letters: list[Letter] = []
     for token in text.split():
-        base, _, exp_part = token.partition("^")
+        base, caret, exp_part = token.partition("^")
         exp = 1
-        if exp_part:
+        if caret:  # a bare ^ is a bad exponent, not ^1
             try:
                 exp = int(exp_part)
             except ValueError as exc:

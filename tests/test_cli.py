@@ -526,6 +526,9 @@ def test_induced_word_and_construction(capsys):
     )
     assert code == 0
     assert payload["measured"] == [[-3, -4], [-2, -3]]
+    # a bare ^ once read as ^1: exit 0, measuring [[2, 1], [1, 1]]
+    assert main(["induced", "--n", "2", "--word", "E(1,2)^ E(2,1)"]) == 2
+    assert capsys.readouterr().err == "error: bad exponent in token 'E(1,2)^'\n"
     code, payload = run_json(
         capsys, ["induced", "--n", "2", "--construction", "reflection-shear"]
     )

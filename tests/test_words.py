@@ -119,6 +119,8 @@ def test_word_serialization_roundtrip():
 def test_parse_word_rejects_garbage():
     with pytest.raises(ValueError):
         parse_word("E(1,2)^x", 2)
+    with pytest.raises(ValueError, match="bad exponent in token 'E\\(1,2\\)\\^'"):
+        parse_word("E(1,2)^ E(2,1)", 2)
     with pytest.raises(ValueError):
         parse_word("Q(1,2)", 2)
 
