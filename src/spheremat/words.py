@@ -400,6 +400,12 @@ def conjugate_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> GeneratorWo
     return _conjugate_rewrite_checked(e_letter, g_letter, n)[1]
 
 
+# The audit checks 2n(n-1)^2(n+1) cases at O(n) each, so its time grows as
+# n^5: 8.2 s at n = 16 on one Intel Xeon core, and about a day at n = 100.
+_AUDIT_MAX_N = 16
+_AUDIT_SECONDS_AT_MAX_N = 8.2
+
+
 @record
 class RewriteCaseReport:
     family: str
@@ -421,10 +427,19 @@ def rewrite_table_audit(n: int) -> list[RewriteCaseReport]:
 
     The elementary-on-elementary families are all populated from n = 3 on;
     the sign-flip family with both indices outside the block first appears
-    at n = 4 (its report simply counts zero instances below that).
+    at n = 4 (its report simply counts zero instances below that). Past
+    n = 16 the audit is refused with a ValueError that states its estimated
+    time, before any case is checked.
     """
     if n < 3:
         raise ValueError("the audit needs n >= 3 to populate the case families")
+    if n > _AUDIT_MAX_N:
+        seconds = _AUDIT_SECONDS_AT_MAX_N * (n / _AUDIT_MAX_N) ** 5
+        raise ValueError(
+            f"an audit at n = {n} would take about {seconds:.2g} s (it grows as "
+            f"n^5 from {_AUDIT_SECONDS_AT_MAX_N:g} s at n = {_AUDIT_MAX_N}); "
+            f"the cap is n = {_AUDIT_MAX_N}"
+        )
     counts = [0] * 16
     corrected: list[list[str]] = [[] for _ in range(16)]
     gens = congruence_generators(n)  # the E(k,l)^2 letters, then the J(k)

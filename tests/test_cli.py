@@ -348,6 +348,25 @@ def test_decompose_tests_congruence_at_most(capsys, monkeypatch, write_matrix, r
 # identities, obstructions
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n, seconds", [(17, "11"), (100, "7.8e+04")])
+def test_verify_identities_past_the_cap_is_refused_before_any_case(
+    capsys, monkeypatch, n, seconds
+):
+    # the audit's time grows as n^5: unguarded, -n 100 would run for about a day
+    audited = []
+    monkeypatch.setattr(
+        "spheremat.words._conjugate_rewrite_checked", lambda *args: audited.append(args)
+    )
+    assert main(["verify-identities", "-n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: an audit at n = {n} would take about {seconds} s "
+        "(it grows as n^5 from 8.2 s at n = 16); the cap is n = 16\n"
+    )
+    assert audited == []
+
+
 def test_obstruction_verdicts(capsys, write_matrix):
     shear = write_matrix([[1, 2], [0, 1]])
     code, payload = run_json(capsys, ["obstruction", shear, "--k", "5"])
