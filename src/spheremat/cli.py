@@ -50,9 +50,9 @@ if TYPE_CHECKING:
 
 SCHEMA = "spheremat/1"
 
-# `degree` differentiates at this geodesic step h. The circle power map
-# z -> z^r then measures sin(r*h)/h in place of r, so |r|*h is bounded.
-_DEGREE_STEP = 1e-5
+# `degree` differentiates at the geodesic step h of `spheres`. The circle
+# power map z -> z^r then measures sin(r*h)/h in place of r, so |r|*h is
+# bounded.
 _MAX_POWER_STEP = 0.01
 
 
@@ -288,7 +288,7 @@ def _cmd_quat_witness(args: argparse.Namespace) -> tuple:
 def _degree_map(args: argparse.Namespace) -> Callable[[np.ndarray], np.ndarray]:
     import numpy as np
 
-    from .spheres import _require_float_range, antipodal_map, psi_map
+    from .spheres import _DEGREE_STEP, _require_float_range, antipodal_map, psi_map
 
     if args.map == "identity":
         return lambda pts: pts
@@ -323,7 +323,7 @@ def _cmd_degree(args: argparse.Namespace) -> tuple:
 
     fn = _degree_map(args)
     estimate, stderr = degree_estimate_details(
-        fn, args.k, sample_count=args.samples, seed=args.seed, step=_DEGREE_STEP
+        fn, args.k, sample_count=args.samples, seed=args.seed
     )
     payload = {
         "map": args.map,

@@ -56,6 +56,9 @@ _WINDING_BYTES_PER_SAMPLE = 128
 # 8(k+1)(3k+8) B per sample of one block.
 _DEGREE_BLOCK = 4096
 
+# Degree estimates differentiate along geodesics at this fixed step h.
+_DEGREE_STEP = 1e-5
+
 
 def _degree_bytes(k: int, sample_count: int) -> int:
     whole = sample_count * (24 * (k + 1) + 16)
@@ -303,7 +306,6 @@ def _jacobian_dets(
     map_fn: Callable[[np.ndarray], np.ndarray],
     y: np.ndarray,
     fy_unit: np.ndarray,
-    step: float,
 ) -> np.ndarray:
     """det(Df) at each row of `y`, with Df taken from the tangent frame at y
     to the one at its normalized image `fy_unit` by geodesic central
@@ -315,13 +317,13 @@ def _jacobian_dets(
     k = y.shape[1] - 1
     frames = tangent_frame(y)
     image_frames = tangent_frame(fy_unit)
-    cos_h, sin_h = math.cos(step), math.sin(step)
+    cos_h, sin_h = math.cos(_DEGREE_STEP), math.sin(_DEGREE_STEP)
     jac = np.empty((len(y), k, k))
     for b in range(k):
         u = frames[..., b]
         plus = np.asarray(map_fn(cos_h * y + sin_h * u), dtype=float)
         minus = np.asarray(map_fn(cos_h * y - sin_h * u), dtype=float)
-        deriv = (plus - minus) / (2.0 * step)
+        deriv = (plus - minus) / (2.0 * _DEGREE_STEP)
         jac[:, :, b] = np.einsum("nda,nd->na", image_frames, deriv)
     return np.linalg.det(jac)
 
@@ -331,16 +333,16 @@ def degree_estimate(
     k: int,
     sample_count: int = 100_000,
     seed: int = 0,
-    step: float = 1e-5,
 ) -> float:
     """Monte Carlo mapping degree of a smooth self-map of S^k.
 
     Averages det(Df) over uniform samples, where Df is expressed in
     orthonormal tangent frames at the sample and its image and is computed
-    by central differences along geodesics (exactly on-sphere inputs).
-    The estimate is deterministic for a given seed and not rounded.
+    by central differences along geodesics (exactly on-sphere inputs) at the
+    fixed step h = 1e-5. The estimate is deterministic for a given seed and
+    not rounded.
     """
-    est, _ = degree_estimate_details(map_fn, k, sample_count, seed, step)
+    est, _ = degree_estimate_details(map_fn, k, sample_count, seed)
     return est
 
 
@@ -349,7 +351,6 @@ def degree_estimate_details(
     k: int,
     sample_count: int = 100_000,
     seed: int = 0,
-    step: float = 1e-5,
 ) -> tuple[float, float]:
     """Like degree_estimate but also returns the standard error of the mean.
 
@@ -364,8 +365,6 @@ def degree_estimate_details(
         raise ValueError("sphere dimension must be at least 1")
     if sample_count < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
-    if step == 0 or not math.isfinite(step):  # a negative step is a valid central difference
-        raise ValueError(f"finite-difference step must be nonzero and finite, got {step}")
     _check_memory(_degree_bytes(k, sample_count), "an estimate of {} samples on S^{}", sample_count, k)
     rng = np.random.default_rng(seed)
     y = uniform_sphere_samples(k, sample_count, rng)
@@ -376,7 +375,7 @@ def degree_estimate_details(
     dets = np.empty(sample_count)
     for lo in range(0, sample_count, _DEGREE_BLOCK):
         hi = lo + _DEGREE_BLOCK
-        dets[lo:hi] = _jacobian_dets(map_fn, y[lo:hi], fy[lo:hi] / fy_norms[lo:hi], step)
+        dets[lo:hi] = _jacobian_dets(map_fn, y[lo:hi], fy[lo:hi] / fy_norms[lo:hi])
     estimate = float(np.mean(dets))
     stderr = float(np.std(dets) / math.sqrt(sample_count))
     return estimate, stderr
