@@ -242,22 +242,19 @@ def count_hR_even(n: int) -> int:
 def random_sln(n: int, rng: random.Random, min_letters: int = 20, max_letters: int = 50) -> IntMatrix:
     """Random element of SL_n(Z): a product of 20..50 uniform elementary matrices.
 
-    Each letter multiplies on the right, i.e. adds +-1 times one column to
-    another, so sampling is O(n) per letter. Pass a seeded random.Random for
+    The letters E(i,j)^+-1 are drawn first and then evaluated by the word
+    evaluator, at O(n) per letter. Pass a seeded random.Random for
     reproducibility.
     """
+    from .words import E, _word_rows  # words imports this module
+
     if n < 2:
         return IntMatrix.identity(max(n, 1))
-    cols = [[1 if r == c else 0 for r in range(n)] for c in range(n)]
-    length = rng.randint(min_letters, max_letters)
-    for _ in range(length):
+    letters = []
+    for _ in range(rng.randint(min_letters, max_letters)):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        s = rng.choice((1, -1))
-        # right-multiplying by E_ij^s adds s * column i to column j
-        ci, cj = cols[i], cols[j]
-        for r in range(n):
-            cj[r] += s * ci[r]
-    return IntMatrix(tuple(zip(*cols)))
+        letters.append((E(i + 1, j + 1), rng.choice((1, -1))))
+    return IntMatrix(_word_rows(n, letters))
