@@ -409,7 +409,7 @@ def power_subgroup(
     else:
         sub = enumerate_group(subgroup_generators, group.n, group.m, max_size=max_size)
         if not sub.elements <= group.elements:
-            raise ValueError("given generators do not lie inside the ambient group")
+            raise ValueError("subgroup generators do not lie inside the group")
     classes = conjugacy_classes(sub)
     powers = {(next(iter(c)) ** t).rows for c in classes}
     rows = sorted(r for c in classes if not c.rows.isdisjoint(powers) for r in c.rows)
@@ -435,7 +435,7 @@ def find_normality_violation(
     if subgroup.n != group.n or subgroup.m != group.m:
         raise ValueError("dimension or modulus mismatch")
     if not subgroup.elements <= group.elements:
-        raise ValueError("first argument is not contained in the second")
+        raise ValueError("subgroup generators do not lie inside the group")
     hs = _enlarging(subgroup)
     for g in _enlarging(group):
         g_inv = g.inverse()

@@ -35,22 +35,24 @@ class GroupSizeLimitError(RuntimeError):
 DEFAULT_MAX_SIZE = 10**7
 
 
-def _square_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Rows as a nonempty square tuple of tuples of plain ints.
+def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """`values`, read once, as plain ints: the one integer-entry rule.
 
     Entries go through int(), so bools, integral Fractions and numpy
     integers come out as Python ints; an entry that int() would change, such
-    as 3/2 or 1.9, raises instead of being truncated.
+    as 3/2, 1.9 or "2", raises a ValueError naming `what`.
     """
-    frozen = []
-    for row in rows:
-        row = tuple(row)  # a row may be a generator: read it once
-        ints = tuple(map(int, row))
-        if ints != row:
-            bad = next(x for x, i in zip(row, ints) if x != i)
-            raise ValueError(f"matrix entry {bad!r} is not an integer")
-        frozen.append(ints)
-    frozen = tuple(frozen)
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(x for x, i in zip(values, ints) if x != i)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return ints
+
+
+def _square_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Rows as a nonempty square tuple of tuples of plain ints (`_int_tuple`)."""
+    frozen = tuple(_int_tuple(row, "matrix entry") for row in rows)
     n = len(frozen)
     if n == 0:
         raise ValueError("dimension must be at least 1")
@@ -66,15 +68,14 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
 
 
-def _square_and_multiply(base, exponent: int, one=None):
-    """base**exponent for exponent >= 0, multiplying onto `one` from the right.
+def _square_and_multiply(base, exponent: int):
+    """base**exponent for exponent >= 1; each caller answers exponent 0.
 
-    Without `one` the exponent must be at least 1, and the result starts as
-    the lowest power of `base` it needs instead of as a product with `one`.
-    Shared by the integer, residue and algebra-element powers, and by the
-    monomial torus maps on arrays of unit complex numbers.
+    The result starts as the lowest power of `base` it needs, not as an
+    identity. Shared by the integer, residue and algebra-element powers and
+    by the monomial torus maps on arrays of unit complex numbers.
     """
-    result = one
+    result = None
     while True:
         if exponent & 1:
             result = base if result is None else result * base

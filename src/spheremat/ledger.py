@@ -20,8 +20,10 @@ from ._record import record
 from .intmat import IntMatrix, elementary_matrix, tau_matrix
 from .permutation import Permutation
 from .subgroups import (
+    K_EVEN,
     coset_certificate,
     count_hR_even,
+    hR_member,
     in_congruence,
     in_W2,
     is_signed_permutation,
@@ -233,15 +235,15 @@ def _check_psi_circle() -> tuple[bool, str]:
 
 
 def _check_even_class_count() -> tuple[bool, str]:
+    # all 6^3 = 216 matrices with one +-1 per row, decided for even k
     n = 3
+    rows = [tuple(sign * (c == col) for c in range(n)) for col in range(n) for sign in (1, -1)]
     count = 0
-    for perm in map(Permutation, itertools.permutations(range(1, n + 1))):
-        base = perm.matrix()
-        for mask in range(2**n):
-            signs = [(-1 if mask >> t & 1 else 1) for t in range(n)]
-            cand = IntMatrix.diagonal(signs) * base
-            if is_signed_permutation(cand):
-                count += 1
+    for cand in map(IntMatrix, itertools.product(rows, repeat=n)):
+        member = hR_member(cand, K_EVEN).member
+        if member != is_signed_permutation(cand):
+            return False, f"hR_member and is_signed_permutation disagree on {cand.rows}"
+        count += member
     if count != count_hR_even(n):
         return False, f"enumerated {count}, formula gives {count_hR_even(n)}"
     return True, f"signed permutations at n=3: {count} = 2^3 * 3!"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _int_tuple
 
 
 class Permutation:
@@ -13,7 +13,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(x) for x in images)
+        imgs = _int_tuple(images, "permutation image")
         n = len(imgs)
         if n == 0:
             raise ValueError("permutation of the empty set is not supported")
@@ -41,9 +41,9 @@ class Permutation:
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         imgs = list(range(1, n + 1))
         for cyc in cycles:
-            cyc = list(cyc)
+            cyc = _int_tuple(cyc, "cycle point")
             if len(set(cyc)) != len(cyc):
-                raise ValueError(f"repeated point in cycle {cyc}")
+                raise ValueError(f"repeated point in cycle {list(cyc)}")
             for a in cyc:
                 if not 1 <= a <= n:
                     raise ValueError(f"cycle point {a} out of range 1..{n}")

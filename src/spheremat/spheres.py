@@ -20,8 +20,8 @@ Householder tangent frames with a fixed orientation convention, so the
 identity map comes out at +1. `induced_matrix_on_torus` recovers the
 integer matrix a self-map of (S^1)^n induces on first homology by
 accumulating phase along basis loops: one map call per loop, then one
-vectorized check of all n image coordinates. `p_a_torus_map` raises
-coordinates to their integer powers by square-and-multiply.
+vectorized check of all n image coordinates. `p_a_torus_map` multiplies
+square-and-multiply powers of coordinates, with no array of ones.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class AlgebraElement:
         return AlgebraElement(np.concatenate([first, second]))
 
     def conjugate(self) -> "AlgebraElement":
-        v = -self.components.copy()
-        v[0] = -v[0]
+        v = 0.0 - self.components  # not -x: a zero part stays +0.0, not -0.0
+        v[0] = self.components[0]
         return AlgebraElement(v)
 
     def norm(self) -> float:
@@ -148,7 +148,9 @@ class AlgebraElement:
     def __pow__(self, exponent: int) -> "AlgebraElement":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return _square_and_multiply(self, exponent, AlgebraElement.one(self.dimension))
+        if exponent == 0:
+            return AlgebraElement.one(self.dimension)
+        return _square_and_multiply(self, exponent)
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(-self.components)
@@ -458,14 +460,14 @@ def p_a_torus_map(a: IntMatrix) -> Callable[[np.ndarray], np.ndarray]:
     def apply(z: np.ndarray) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)
         out = np.empty_like(zz)
-        for s in range(a.n):
-            acc = np.ones(zz.shape[:-1], dtype=complex)
-            for col in range(a.n):
-                e = a.rows[s][col]
+        for s, row in enumerate(a.rows):
+            acc = None
+            for col, e in enumerate(row):
                 if e:
                     base = zz[..., col] if e > 0 else 1.0 / zz[..., col]
-                    acc = _square_and_multiply(base, abs(e), acc)
-            out[..., s] = acc
+                    power = _square_and_multiply(base, abs(e))
+                    acc = power if acc is None else acc * power
+            out[..., s] = 1.0 if acc is None else acc
         return out
 
     return apply

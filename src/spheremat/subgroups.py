@@ -12,10 +12,11 @@ Three nested groups appear throughout:
 
 Each verdict has one home. `_row_pair_violations` is the one scan of the
 commutator rule in `obstruction`: `_w2_failure` (hence `in_W2`), `hR_member`
-for odd k and `obstruction.classify` read it. `_congruence_failure` decides
-`in_congruence`. The two `_failure` helpers name the first failing witness.
-`_class_representative` is the one coset-representative rule, read by
-`coset_certificate` and `coset_representatives`.
+and `obstruction.classify` read it; `is_signed_permutation` is only the
+reference the even-k verdict is tested against. `_congruence_failure`
+decides `in_congruence`. The two `_failure` helpers name the first failing
+witness. `_class_representative` is the one coset-representative rule, read
+by `coset_certificate` and `coset_representatives`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import random
 from typing import Iterator, Optional, Sequence
 
 from ._record import record
-from .intmat import IntMatrix, tau_matrix
+from .intmat import IntMatrix, _int_tuple, tau_matrix
 from .permutation import Permutation
 
 K_HOPF = "hopf"
@@ -43,7 +44,7 @@ def pre_dot(v: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
     """Componentwise product of two integer vectors (the dot product before summation)."""
     if len(v) != len(w):
         raise ValueError("length mismatch")
-    return tuple(int(a) * int(b) for a, b in zip(v, w))
+    return tuple(a * b for a, b in zip(_int_tuple(v, "vector entry"), _int_tuple(w, "vector entry")))
 
 
 def _congruence_failure(a: IntMatrix, m: int) -> Optional[str]:
@@ -208,7 +209,7 @@ def hR_member(a: IntMatrix, k_class: str) -> MembershipCheck:
     `hopf` (k in {1,3,7}), `odd_generic` (other odd k), `even`.
     """
     if k_class == K_EVEN:
-        if is_signed_permutation(a):
+        if next(_row_pair_violations(a, K_EVEN), None) is None and a.det() in (1, -1):
             return MembershipCheck(True, "signed permutation matrix")
         return MembershipCheck(False, "not a signed permutation matrix")
     if k_class not in (K_HOPF, K_ODD):

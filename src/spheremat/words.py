@@ -20,7 +20,8 @@ place: an elementary letter adds a multiple of one column to another, and
 the other letters negate or permute columns. A word of L letters costs
 O(L*n) integer operations, whatever its exponents. `_word_rows` is the one
 evaluator; every exact check here compares its rows with a target's rows,
-and an `IntMatrix` is built only for a caller that asks for one.
+and an `IntMatrix` is built only for a caller that asks for one. Records
+check each letter once, when built; evaluation checks only the dimension.
 
 The conjugation rewrite tables below (pushing an elementary letter across
 a congruence generator) are not taken on faith: on each call the table
@@ -102,8 +103,6 @@ NEG = GeneratorSymbol("NEG")
 
 
 def P(sigma: Permutation) -> GeneratorSymbol:
-    if not sigma.is_even:
-        raise ValueError("P letters carry even permutations only")
     return GeneratorSymbol("P", sigma=sigma)
 
 
@@ -133,8 +132,6 @@ def _apply_letters(cols: list[list[int]], letters: Iterable[Letter], n: int) -> 
             sigma = sym.sigma
             if sigma.n != n:
                 raise ValueError(f"permutation acts on {sigma.n} points, not {n}")
-            if not sigma.is_even:
-                raise ValueError("P letters carry even permutations only")
             # P(sigma)^e moves column r to column sigma^e(r)
             old = cols[:]
             for cyc in sigma.cycles():

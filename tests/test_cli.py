@@ -658,7 +658,7 @@ def test_ledger_all_green(capsys):
 # runs; the CLI imports those layers lazily, so the patch must reach it.
 # "M" stands for a matrix file.
 FAULT_SITES = [
-    (["member", "M"], "spheremat.subgroups.in_W2"),
+    (["member", "M"], "spheremat.subgroups._w2_failure"),
     (["coset", "M"], "spheremat.subgroups.coset_certificate"),
     (["obstruction", "M", "--k", "2"], "spheremat.obstruction.classify"),
     (["hyperbolic", "M"], "spheremat.cli.hyperbolic_check"),

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from spheremat.subgroups import (
     K_EVEN,
     K_HOPF,
     K_ODD,
+    hR_member,
     in_W2,
     is_signed_permutation,
     mod2_class,
@@ -127,6 +128,30 @@ def test_even_class_matches_signed_permutation():
         assert got == is_signed_permutation(a)
         seen_true += got
     assert seen_true > 0  # the sample must actually hit the survivor set
+
+
+def test_hr_member_and_classify_decide_alike():
+    def same_verdicts(a):
+        for k_class in (K_HOPF, K_ODD, K_EVEN):
+            assert hR_member(a, k_class).member == classify(a, k_class).realizable
+
+    # every matrix with n <= 2 and entries in -2..2, or n = 3 and entries in -1..1
+    signed = 0
+    for n, span in ((1, 2), (2, 2), (3, 1)):
+        for entries in product(range(-span, span + 1), repeat=n * n):
+            a = IntMatrix([entries[r * n : (r + 1) * n] for r in range(n)])
+            even = hR_member(a, K_EVEN).member
+            assert even == is_signed_permutation(a)
+            signed += even
+            if n < 3 and a.det() in (1, -1):
+                same_verdicts(a)
+    assert signed == 2 + 8 + 48
+    rng = random.Random(4242)
+    flip = {n: IntMatrix.diagonal([-1] + [1] * (n - 1)) for n in (3, 4)}
+    for _ in range(150):
+        n = rng.choice((3, 4))
+        a = random_sln(n, rng, min_letters=1, max_letters=8)
+        same_verdicts(flip[n] * a if rng.random() < 0.5 else a)
 
 
 def test_realizable_sets_are_closed_under_product():

@@ -1,4 +1,6 @@
 import itertools
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,17 @@ def test_rejects_non_bijection():
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((0, 1))
+
+
+def test_points_must_be_integers():
+    assert Permutation((2.0, True)).images == (2, 1)
+    assert Permutation.from_cycles(3, [(Fraction(4, 2), 3.0)]) == Permutation((1, 3, 2))
+    for bad in (1.5, Fraction(3, 2), "2"):
+        shown = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"^permutation image {shown} is not an integer$"):
+            Permutation((bad, 2))
+        with pytest.raises(ValueError, match=f"^cycle point {shown} is not an integer$"):
+            Permutation.from_cycles(3, [(1, 3), (bad, 2)])
 
 
 def test_compose_convention():

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +33,16 @@ def test_pre_dot_examples():
     assert pre_dot((1, 1), (0, 1)) == (0, 1)
     with pytest.raises(ValueError):
         pre_dot((1, 2), (1, 2, 3))
+
+
+def test_pre_dot_refuses_non_integral_entries():
+    assert pre_dot((True, 2.0), (3, Fraction(4, 2))) == (3, 4)
+    for bad in (1.5, Fraction(3, 2), "2"):
+        message = f"^vector entry {re.escape(repr(bad))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            pre_dot((bad, 2), (2, 2))
+        with pytest.raises(ValueError, match=message):
+            pre_dot((2, 2), (2, bad))
 
 
 def test_in_congruence_examples():

@@ -72,7 +72,7 @@ def test_zero_exponent_letter_rejected():
 
 
 def test_odd_permutation_letters_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^P requires an even permutation$"):
         P(Permutation.transposition(3, 1, 2))
 
 
