@@ -64,7 +64,6 @@ _LAZY = {
         "parse_word",
         "random_congruence_word",
         "rewrite_table_audit",
-        "search_congruence_word",
         "symbol_matrix",
         "word_to_matrix",
         "word_to_str",

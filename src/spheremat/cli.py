@@ -104,8 +104,6 @@ def _cmd_member(args: argparse.Namespace) -> tuple:
         ok = failure is None
         payload["reason"] = failure or "unit determinant, all distinct-row componentwise products even"
     elif args.group == "gamma":
-        if args.mod < 2:
-            raise ValueError("--mod must be at least 2")
         ok = in_congruence(a, args.mod)
         payload["mod"] = args.mod
         payload["reason"] = (

@@ -25,11 +25,12 @@ check each letter once, when built; evaluation checks only the dimension.
 
 The conjugation rewrite tables below (pushing an elementary letter across
 a congruence generator) are not taken on faith: on each call the table
-word and e * g * e^-1 are evaluated to rows and compared, and a bounded
-breadth-first search stands by to repair any case that fails. One
-function, `_table_rewrite`, decides each case's family and word; the
-family index is the position in `_CASE_FAMILIES`, and `rewrite_table_audit`
-reports the verification status of all sixteen families in that order.
+word and e * g * e^-1 are evaluated to rows and compared, and a wrong
+table entry raises AssertionError; nothing searches for a word in its
+place. One function, `_table_rewrite`, decides each case's family and
+word; the family index is the position in `_CASE_FAMILIES`, and
+`rewrite_table_audit` checks every case and counts each family's cases in
+that order.
 """
 
 from __future__ import annotations
@@ -109,12 +110,13 @@ def P(sigma: Permutation) -> GeneratorSymbol:
 Letter = tuple[GeneratorSymbol, int]
 
 
-def _apply_letters(cols: list[list[int]], letters: Iterable[Letter], n: int) -> None:
-    """Right-multiply the matrix held as the column list `cols` by each letter.
+def _word_rows(n: int, letters: Iterable[Letter]) -> tuple[tuple[int, ...], ...]:
+    """Rows of the product of `letters` in dimension n, evaluated exactly.
 
-    The columns are replaced in place. A letter whose indices do not fit in
-    dimension n raises ValueError.
+    The identity's columns are right-multiplied by each letter in turn. A
+    letter whose indices do not fit in dimension n raises ValueError.
     """
+    cols = [[int(r == c) for r in range(n)] for c in range(n)]
     for sym, exp in letters:
         kind = sym.kind
         if kind == "E":
@@ -155,12 +157,6 @@ def _apply_letters(cols: list[list[int]], letters: Iterable[Letter], n: int) -> 
             if exp % 2:
                 for c in flips:
                     cols[c] = [-x for x in cols[c]]
-
-
-def _word_rows(n: int, letters: Iterable[Letter]) -> tuple[tuple[int, ...], ...]:
-    """Rows of the product of `letters` in dimension n, evaluated exactly."""
-    cols = [[int(r == c) for r in range(n)] for c in range(n)]
-    _apply_letters(cols, letters, n)
     return tuple(zip(*cols))
 
 
@@ -298,9 +294,6 @@ def _table_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> tuple[int, lis
     """
     esym, sign = e_letter
     gsym, gexp = g_letter
-    for exp in (sign, gexp):
-        if not isinstance(exp, int):
-            raise ValueError(f"exponent {exp!r} is not an integer")
     if esym.kind != "E" or sign not in (1, -1):
         raise ValueError("conjugator must be an elementary letter with exponent +-1")
     i, j = esym.i, esym.j
@@ -330,71 +323,33 @@ def _table_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> tuple[int, lis
     raise ValueError("generator must be E(k,l)^2 or J(k)")
 
 
-def search_congruence_word(target: IntMatrix, max_letters: int = 3) -> Optional[GeneratorWord]:
-    """Breadth-first search for a short congruence word evaluating to target.
+def _checked_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> tuple[int, list[Letter]]:
+    """`_table_rewrite`'s family and word, once the word evaluates to e * g * e^-1.
 
-    Alphabet: E(p,q)^{+-2} for all p != q and J(r) for 1 <= r < n. Used as
-    the repair path when a rewrite-table case fails verification, and small
-    enough to be exhaustive for the short identities involved.
+    A table word that evaluates to anything else raises AssertionError.
     """
-    n = target.n
-    alphabet: list[Letter] = [
-        (E(p, q), e)
-        for p in range(1, n + 1)
-        for q in range(1, n + 1)
-        if p != q
-        for e in (2, -2)
-    ]
-    alphabet.extend((J(r), 1) for r in range(1, n))
-    goal = tuple(zip(*target.rows))
-    start = tuple(tuple(int(r == c) for r in range(n)) for c in range(n))
-    if start == goal:
-        return GeneratorWord(n, ())
-    # states are column tuples, extended by one letter with the word evaluator
-    frontier: list[tuple[tuple, tuple[Letter, ...]]] = [(start, ())]
-    seen = {start}
-    for _ in range(max_letters):
-        nxt = []
-        for cols, letters in frontier:
-            for letter in alphabet:
-                new = list(cols)
-                _apply_letters(new, (letter,), n)
-                key = tuple(map(tuple, new))
-                if key == goal:
-                    return GeneratorWord(n, letters + (letter,))
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append((key, letters + (letter,)))
-        frontier = nxt
-    return None
-
-
-def _conjugate_rewrite_checked(
-    e_letter: Letter, g_letter: Letter, n: int
-) -> tuple[int, GeneratorWord, bool]:
-    """Case family, rewrite word, and whether the table entry needed repair."""
     case, letters = _table_rewrite(e_letter, g_letter, n)
     (esym, eexp), (gsym, gexp) = e_letter, g_letter
     target = _word_rows(n, (e_letter, g_letter, (esym, -eexp)))
-    if _word_rows(n, letters) == target:
-        return case, GeneratorWord(n, tuple(letters)), False
-    repaired = search_congruence_word(IntMatrix(target))
-    if repaired is None:
+    if _word_rows(n, letters) != target:
         raise AssertionError(
-            f"no short congruence word found for {esym.token(eexp)} "
-            f"conj {gsym.token(gexp)}"
+            f"rewrite table family {case} ({_CASE_FAMILIES[case][0]}) is wrong "
+            f"for {esym.token(eexp)} conj {gsym.token(gexp)}"
         )
-    return case, repaired, True
+    return case, letters
 
 
 def conjugate_rewrite(e_letter: Letter, g_letter: Letter, n: int) -> GeneratorWord:
     """Congruence word equal to e * g * e^-1.
 
     `e_letter` is an elementary letter with exponent +-1 and `g_letter` is a
-    congruence generator, either (E(k,l), 2) or (J(k), 1). The returned word
-    is verified by exact multiplication before being returned.
+    congruence generator, either (E(k,l), 2) or (J(k), 1). Both letters must
+    pass `GeneratorWord`'s letter rule. The table word is verified by exact
+    evaluation before it is returned; a wrong table entry raises
+    AssertionError, and nothing searches for a word in its place.
     """
-    return _conjugate_rewrite_checked(e_letter, g_letter, n)[1]
+    GeneratorWord(n, (e_letter, g_letter))
+    return GeneratorWord(n, tuple(_checked_rewrite(e_letter, g_letter, n)[1]))
 
 
 # The audit checks 2n(n-1)^2(n+1) cases at O(n) each, so its time grows as
@@ -410,7 +365,7 @@ class RewriteCaseReport:
     generator_kind: str
     condition: str
     instances: int
-    corrected: tuple[str, ...]
+    corrected: tuple[str, ...]  # always (): the audit raises on a wrong entry
 
     @property
     def status(self) -> str:
@@ -422,11 +377,11 @@ class RewriteCaseReport:
 def rewrite_table_audit(n: int) -> list[RewriteCaseReport]:
     """Verify all sixteen rewrite case families exhaustively in dimension n.
 
-    The elementary-on-elementary families are all populated from n = 3 on;
-    the sign-flip family with both indices outside the block first appears
-    at n = 4 (its report simply counts zero instances below that). Past
-    n = 16 the audit is refused with a ValueError that states its estimated
-    time, before any case is checked.
+    A wrong table entry raises AssertionError. The elementary-on-elementary
+    families are all populated from n = 3 on; the sign-flip family with both
+    indices outside the block first appears at n = 4 (its report simply
+    counts zero instances below that). Past n = 16 the audit is refused with
+    a ValueError that states its estimated time, before any case is checked.
     """
     if n < 3:
         raise ValueError("the audit needs n >= 3 to populate the case families")
@@ -438,24 +393,16 @@ def rewrite_table_audit(n: int) -> list[RewriteCaseReport]:
             f"the cap is n = {_AUDIT_MAX_N}"
         )
     counts = [0] * 16
-    corrected: list[list[str]] = [[] for _ in range(16)]
     gens = congruence_generators(n)  # the E(k,l)^2 letters, then the J(k)
     for sign in (1, -1):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                for gsym, gexp in gens:
-                    case, word, repaired = _conjugate_rewrite_checked(
-                        (E(i, j), sign), (gsym, gexp), n
-                    )
-                    counts[case] += 1
-                    if repaired:
-                        corrected[case].append(
-                            f"E({i},{j})^{sign} on {gsym.token(gexp)} -> {word}"
-                        )
+                for g_letter in gens:
+                    counts[_checked_rewrite((E(i, j), sign), g_letter, n)[0]] += 1
     return [
-        RewriteCaseReport(family, sign, gkind, cond, counts[idx], tuple(corrected[idx]))
+        RewriteCaseReport(family, sign, gkind, cond, counts[idx], ())
         for idx, (family, sign, gkind, cond) in enumerate(_CASE_FAMILIES)
     ]
 

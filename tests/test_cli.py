@@ -73,6 +73,16 @@ def test_member_gamma(capsys, write_matrix):
     assert code == 1 and payload["member"] is False
 
 
+@pytest.mark.parametrize("mod", ["1", "0", "-5"])
+def test_member_gamma_small_modulus_is_refused_by_the_library(capsys, write_matrix, mod):
+    # the library's modulus rule is the only one: its text, as `enumerate -m 1`
+    path = write_matrix([[1, 2], [0, 1]])
+    assert main(["member", path, "--group", "gamma", "--mod", mod]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: modulus must be at least 2\n"
+
+
 def test_member_hr_k_and_class_flags(capsys, write_matrix):
     path = write_matrix([[1, 2], [0, 1]])
     code, payload = run_json(capsys, ["member", path, "--group", "hr", "--k", "5"])
@@ -355,7 +365,7 @@ def test_verify_identities_past_the_cap_is_refused_before_any_case(
     # the audit's time grows as n^5: unguarded, -n 100 would run for about a day
     audited = []
     monkeypatch.setattr(
-        "spheremat.words._conjugate_rewrite_checked", lambda *args: audited.append(args)
+        "spheremat.words._checked_rewrite", lambda *args: audited.append(args)
     )
     assert main(["verify-identities", "-n", str(n)]) == 2
     captured = capsys.readouterr()

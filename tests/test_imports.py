@@ -46,7 +46,7 @@ PACKAGE_DIR = [
     "parse_word", "permutation", "power_subgroup", "pre_dot", "psi_eval", "psi_map",
     "quaternion", "quaternion_collision_witness", "random_congruence_word",
     "random_sln", "reflection_shear_torus_map", "representative_matrix",
-    "rewrite_table_audit", "run_ledger", "search_congruence_word", "sl_order",
+    "rewrite_table_audit", "run_ledger", "sl_order",
     "slot_conjugation_torus_map", "spheres", "subgroups", "symbol_matrix",
     "tangent_frame", "tau_matrix", "uniform_sphere_samples", "whitehead_coeffs",
     "word_to_matrix", "word_to_str", "words",

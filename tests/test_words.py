@@ -9,6 +9,7 @@ from spheremat.intmat import IntMatrix, elementary_matrix
 from spheremat.permutation import Permutation
 from spheremat.subgroups import in_congruence, random_sln
 import spheremat.words as words_module
+from spheremat.cli import main
 from spheremat.words import (
     E,
     GeneratorWord,
@@ -29,7 +30,6 @@ from spheremat.words import (
     parse_word,
     random_congruence_word,
     rewrite_table_audit,
-    search_congruence_word,
     symbol_matrix,
     word_to_matrix,
     word_to_str,
@@ -271,9 +271,9 @@ def test_rewrite_tables_are_frozen():
     assert digest == "fd3acc07f59121a82a39eae54b9cc6ee20b5bae111b75d18f13cc923c920956e"
 
 
-def test_wrong_table_entry_is_repaired_and_reported(monkeypatch):
+def test_wrong_table_entry_fails_loudly(monkeypatch, capsys):
     # family 5 is E(i,j)^-1 across E(k,l)^2 with j != k, i == l; give it the
-    # sign +1 word, which is wrong there, and let the search repair it
+    # sign +1 word, which is wrong there: nothing searches for a replacement
     table = words_module._table_rewrite
 
     def broken(e_letter, g_letter, n):
@@ -283,58 +283,14 @@ def test_wrong_table_entry_is_repaired_and_reported(monkeypatch):
         return case, letters
 
     monkeypatch.setattr(words_module, "_table_rewrite", broken)
-    n = 3
-    reports = rewrite_table_audit(n)
-    assert [r.status == "VERIFIED" for r in reports] == [idx != 5 for idx in range(16)]
-    family = reports[5]
-    assert (family.sign, family.generator_kind, family.condition) == (-1, "E", "j!=k, i==l")
-    assert family.status == "CORRECTED(" + "; ".join(family.corrected) + ")"
-    assert len(family.corrected) == family.instances == 6
-    for entry in family.corrected:
-        head, word_text = entry.split(" -> ")
-        e_text, g_text = head.split(" on ")
-        e_word, g_word = parse_word(e_text, n), parse_word(g_text, n)
-        assert e_text.endswith("^-1") and g_text.endswith("^2")
-        repaired = parse_word(word_text, n)
-        assert is_congruence_word(repaired)
-        assert repaired.matrix() == (e_word.matrix() * g_word.matrix()
-                                     * e_word.inverse().matrix())
-    w = conjugate_rewrite((E(1, 2), -1), (E(3, 1), 2), n)
-    e_mat = symbol_matrix(E(1, 2), n)
-    assert w.matrix() == e_mat.inverse_unimodular() * symbol_matrix(E(3, 1), n) ** 2 * e_mat
-
-
-def test_search_congruence_word_finds_short_targets():
-    target = elementary_matrix(3, 1, 2, 2)
-    w = search_congruence_word(target)
-    assert w is not None and w.matrix() == target
-    assert search_congruence_word(IntMatrix.identity(3)).letters == ()
-
-
-def _search_targets():
-    """Seeded targets at n = 3..5: congruence words of 0 to 6 letters, some
-    out of reach of a 3-letter search, and one non-congruence E(i,n)."""
-    rng = random.Random(20261020)
-    for n in (3, 4, 5):
-        gens = congruence_generators(n)
-        for length in (0, 1, 2, 3, 3, 4, 6):
-            letters = []
-            for _ in range(length):
-                sym, exp = rng.choice(gens)
-                letters.append((sym, rng.choice([exp, -exp])))
-            yield GeneratorWord(n, tuple(letters)).matrix()
-        yield elementary_matrix(n, rng.randint(1, n - 1), n, 1)
-
-
-def test_search_congruence_words_are_frozen():
-    # digest of the words (or None) found for 24 targets, 8 of them
-    # unreachable, as the search over dense matrix products gave them
-    found = [search_congruence_word(target) for target in _search_targets()]
-    assert len(found) == 24 and found.count(None) == 8
-    for target, word in zip(_search_targets(), found):
-        assert word is None or (is_congruence_word(word) and word.matrix() == target)
-    digest = hashlib.sha256("\n".join(map(str, found)).encode()).hexdigest()
-    assert digest == "51c0ff90ca168aa72b11cbf8d6014250dbb0be1b2b69594dfc4c921e34232e6c"
+    with pytest.raises(AssertionError, match=r"^rewrite table family 5 \(E-1\.E2\.E\) is wrong"):
+        conjugate_rewrite((E(1, 2), -1), (E(3, 1), 2), 3)
+    with pytest.raises(AssertionError):
+        rewrite_table_audit(3)
+    assert main(["verify-identities", "-n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ")
 
 
 # ---------------------------------------------------------------------------
