@@ -4,13 +4,20 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ._record import _delattr, _setattr
 from .intmat import IntMatrix, _int_tuple
 
 
 class Permutation:
-    """Bijection of {1, .., n}; images[i-1] is the image of i."""
+    """Bijection of {1, .., n}; images[i-1] is the image of i.
+
+    Immutable, as `@record` classes are: assignment and deletion raise
+    AttributeError once `__init__` has set `images`.
+    """
 
     __slots__ = ("images",)
+    __setattr__ = _setattr
+    __delattr__ = _delattr
 
     def __init__(self, images: Sequence[int]):
         imgs = _int_tuple(images, "permutation image")
@@ -19,7 +26,10 @@ class Permutation:
             raise ValueError("permutation of the empty set is not supported")
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValueError(f"{imgs} is not a bijection of 1..{n}")
-        self.images = imgs
+        object.__setattr__(self, "images", imgs)
+
+    def __reduce__(self):
+        return self.__class__, (self.images,)
 
     @property
     def n(self) -> int:

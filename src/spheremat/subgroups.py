@@ -54,7 +54,7 @@ def _congruence_failure(a: IntMatrix, m: int) -> Optional[str]:
     det = a.det()
     if det != 1:
         return f"determinant is {det}, need 1"
-    if not a.reduce_mod(m).is_identity():
+    if any((x - (r == c)) % m for r, row in enumerate(a.rows) for c, x in enumerate(row)):
         return f"not congruent to the identity mod {m}"
     return None
 
@@ -69,14 +69,19 @@ def _row_pair_violations(a: IntMatrix, k_class: str) -> Iterator[tuple[tuple[int
 
     The rule of `obstruction`: no constraint for k in {1, 3, 7}, an odd
     coefficient for other odd k, a nonzero one for even k. Triples come
-    ordered by j < l, then s.
+    ordered by j < l, then s. Each row's column mask is formed when the
+    pairs first reach that row, so an early witness leaves later rows unread.
     """
     if k_class == K_HOPF:
         return
     # a product is odd (nonzero) iff both factors are: one column mask per row
     odd = k_class == K_ODD
-    masks = [sum(1 << s for s, x in enumerate(row) if (x % 2 if odd else x)) for row in a.rows]
+    rows = a.rows
+    masks: list[int] = []
     for j, l in itertools.combinations(range(a.n), 2):
+        while len(masks) <= l:  # rows are reached in order: 0 and 1, then 2, ...
+            row = rows[len(masks)]
+            masks.append(sum(1 << s for s, x in enumerate(row) if (x % 2 if odd else x)))
         both = masks[j] & masks[l]
         if both:
             for s in range(a.n):

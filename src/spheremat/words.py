@@ -22,6 +22,13 @@ O(L*n) integer operations, whatever its exponents. `_word_rows` is the one
 evaluator; every exact check here compares its rows with a target's rows,
 and an `IntMatrix` is built only for a caller that asks for one. Records
 check each letter once, when built; evaluation checks only the dimension.
+`_eliminate` likewise adds its rows in place, in lists of its own.
+
+Three bounded caches keep repeated work out of the hot path: `E` (1024
+letters), `_identity_columns` (the identity's columns for 16 dimensions,
+copied into fresh lists on each evaluation) and `_parse_symbol` (1024
+tokens, under 2 MB up to n = 100). Each holds immutable values only; a
+`Permutation` refuses assignment, so a cached P letter cannot change.
 
 The conjugation rewrite tables below (pushing an elementary letter across
 a congruence generator) are not taken on faith: on each call the table
@@ -110,21 +117,33 @@ def P(sigma: Permutation) -> GeneratorSymbol:
 Letter = tuple[GeneratorSymbol, int]
 
 
+# 16 dimensions of n^2 references each, 80 KB at n = 100; typed, as
+# `_parse_symbol` is, so that a float n still fails
+@functools.lru_cache(maxsize=16, typed=True)
+def _identity_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(r == c) for r in range(n)) for c in range(n))
+
+
 def _word_rows(n: int, letters: Iterable[Letter]) -> tuple[tuple[int, ...], ...]:
     """Rows of the product of `letters` in dimension n, evaluated exactly.
 
-    The identity's columns are right-multiplied by each letter in turn. A
-    letter whose indices do not fit in dimension n raises ValueError.
+    Fresh lists of the identity's columns are right-multiplied by each
+    letter in turn. A letter whose indices do not fit in dimension n raises
+    ValueError.
     """
-    cols = [[int(r == c) for r in range(n)] for c in range(n)]
+    cols = list(map(list, _identity_columns(n)))
     for sym, exp in letters:
         kind = sym.kind
         if kind == "E":
             i, j = sym.i, sym.j
             if i > n or j > n:
                 raise ValueError(f"E({i},{j}) does not fit in dimension {n}")
-            # E(i,j)^t adds t * column i to column j
-            cols[j - 1] = [d + exp * s for d, s in zip(cols[j - 1], cols[i - 1])]
+            # E(i,j)^t adds t * column i to column j, in place: no two
+            # columns are one list, since TAU and the flips build new lists
+            # and P only moves the lists it has
+            dst, src = cols[j - 1], cols[i - 1]
+            for k in range(n):
+                dst[k] += exp * src[k]
         elif kind == "TAU":
             if n < 2:
                 raise ValueError("tau requires n >= 2")
@@ -442,7 +461,9 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
     builder = _Builder(n)
 
     def row_add(dst: int, src: int, t: int) -> None:
-        m[dst] = [d + t * s for d, s in zip(m[dst], m[src])]
+        d, s = m[dst], m[src]  # distinct rows of `m`, each its own list
+        for k in range(n):
+            d[k] += t * s[k]
         builder.push(E(dst + 1, src + 1), -t)
 
     for c in range(n):
@@ -552,6 +573,11 @@ def parse_word(text: str, n: int) -> GeneratorWord:
     return GeneratorWord(n, tuple(letters))
 
 
+# A bad token raises and is not cached; typed, so that n = 3.0 is not served
+# n = 3's entry. An entry keeps a token and its symbol, and a P[...] token a
+# Permutation of n points: about 0.6 KB at n = 8 and 1.9 KB at n = 100
+# (tracemalloc), so the 1024 entries stay under 2 MB up to n = 100.
+@functools.lru_cache(maxsize=1024, typed=True)
 def _parse_symbol(base: str, n: int) -> GeneratorSymbol:
     if base == "TAU":
         return TAU

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -42,6 +44,20 @@ def test_points_must_be_integers():
             Permutation((bad, 2))
         with pytest.raises(ValueError, match=f"^cycle point {shown} is not an integer$"):
             Permutation.from_cycles(3, [(1, 3), (bad, 2)])
+
+
+def test_assignment_is_refused():
+    # parsed P letters share their Permutation, so none may change it
+    p = Permutation((2, 3, 1))
+    with pytest.raises(AttributeError, match="^cannot assign to field 'images'$"):
+        p.images = (1, 2, 3)
+    with pytest.raises(AttributeError, match="^cannot delete field 'images'$"):
+        del p.images
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        p.extra = 1
+    assert p.images == (2, 3, 1)
+    for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p and copied.images == (2, 3, 1)
 
 
 def test_compose_convention():

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,8 @@ from spheremat.subgroups import (
     K_HOPF,
     K_ODD,
     NotInGroupError,
+    _congruence_failure,
+    _row_pair_violations,
     coset_certificate,
     count_hR_even,
     hR_member,
@@ -53,6 +56,25 @@ def test_in_congruence_examples():
     assert not in_congruence(-IntMatrix.identity(2), 3)
     with pytest.raises(ValueError):
         in_congruence(IntMatrix.identity(2), 1)
+
+
+def test_congruence_is_read_from_the_rows(monkeypatch):
+    rng = random.Random(23)
+    cases = [(random_sln(n, rng), m) for n in (2, 3, 4) for m in (2, 3, 4) for _ in range(10)]
+    cases += [(IntMatrix([[1 + m * x for x in (1, 0)], [0, 1]]), m) for m in (2, 3, 5)]
+    cases += [(-IntMatrix.identity(2), m) for m in (2, 3)]
+    want = [a.det() == 1 and a.reduce_mod(m).is_identity() for a, m in cases]
+    assert 0 < sum(want) < len(want)
+
+    def refuse(self, m):
+        raise AssertionError("the congruence check built a ResidueMatrix")
+
+    monkeypatch.setattr(IntMatrix, "reduce_mod", refuse)
+    for (a, m), member in zip(cases, want):
+        reason = _congruence_failure(a, m)
+        assert (reason is None) == member
+        if a.det() == 1 and not member:
+            assert reason == f"not congruent to the identity mod {m}"
 
 
 def test_in_w2_examples():
@@ -158,6 +180,36 @@ def test_congruence_normal_under_conjugation():
         gamma = random_congruence_word(n, rng, max_letters=8).matrix()
         u = random_sln(n, rng, min_letters=5, max_letters=15)
         assert in_congruence(u * gamma * u.inverse_unimodular(), 2)
+
+
+class _Unread(tuple):
+    """A row that fails the test if anything reads its entries."""
+
+    def __iter__(self):
+        raise AssertionError("row 3 was read")
+
+    def __getitem__(self, index):
+        raise AssertionError("row 3 was read")
+
+
+def test_row_pair_scan_stops_reading_rows_at_the_first_witness():
+    rows = ((2, 1, 0), (1, 1, 0), _Unread((0, 0, 1)))
+    lazy = SimpleNamespace(n=3, rows=rows)
+    assert next(_row_pair_violations(lazy, K_ODD)) == ((1, 2), 2)
+    assert next(_row_pair_violations(lazy, K_EVEN)) == ((1, 2), 1)
+    # the triples keep their order: pairs j < l, then the column s
+    rng = random.Random(5)
+    for n in (2, 3, 5):
+        for _ in range(30):
+            a = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            for k_class, obstructs in ((K_ODD, lambda x: x % 2), (K_EVEN, bool)):
+                want = [
+                    ((j + 1, l + 1), s + 1)
+                    for j, l in itertools.combinations(range(n), 2)
+                    for s in range(n)
+                    if obstructs(a.rows[j][s] * a.rows[l][s])
+                ]
+                assert list(_row_pair_violations(a, k_class)) == want
 
 
 def test_is_signed_permutation():

@@ -125,6 +125,23 @@ def test_parse_word_rejects_garbage():
         parse_word("Q(1,2)", 2)
 
 
+def test_parse_word_reuses_symbols_and_never_caches_an_error():
+    text = "P[(1,2,3)] E(1,2)^2 P[(1,2,3)]^-1 E(1,2)"
+    first, second = parse_word(text, 3), parse_word(text, 3)
+    assert first == second
+    assert first.letters[0][0] is first.letters[2][0] is second.letters[0][0]
+    assert first.letters[0][0] == P(Permutation.from_cycles(3, [(1, 2, 3)]))
+    # the same token in another dimension is parsed for that dimension
+    assert parse_word("P[(1,2,3)]", 4).letters[0][0].sigma.n == 4
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^P requires an even permutation$"):
+            parse_word("P[(1,2)]", 3)
+        with pytest.raises(ValueError, match="^cycle point 4 out of range 1..3$"):
+            parse_word("P[(2,3,4)]", 3)
+        with pytest.raises(ValueError, match="^unrecognized token 'Q\\(1,2\\)'$"):
+            parse_word("Q(1,2)", 2)
+
+
 def test_is_congruence_word():
     assert is_congruence_word(GeneratorWord(3, ((E(1, 2), 2), (J(1), 1))))
     assert not is_congruence_word(GeneratorWord(3, ((E(1, 2), 1),)))
@@ -643,3 +660,29 @@ def test_word_matrix_all_letter_kinds_large_exponents():
     for word in words:
         assert word.matrix() == _dense_word(word)
         assert word.matrix() * word.inverse().matrix() == IntMatrix.identity(word.n)
+
+
+def test_evaluation_leaves_the_cached_identity_untouched():
+    # columns are added in place, so each evaluation must start from fresh
+    # copies of the cached identity, never from the cache itself
+    for n in range(2, 6):
+        identity = IntMatrix.identity(n).rows
+        cyc = Permutation.from_cycles(n, [(1, 2, 3)] if n > 2 else [])
+        letters = (
+            (E(1, 2), 5), (TAU, 1), (E(2, 1), -3), (P(cyc), 1), (E(n, 1), 7),
+            (J(1), 1), (JR(1, n), 1), (E(1, n), 2), (TAU, 3), (E(2, 1), 4),
+        )
+        if n == 2:
+            letters += ((NEG, 1), (E(1, 2), -9))
+        for _ in range(3):
+            assert words_module._word_rows(n, letters) == _dense_word(GeneratorWord(n, letters)).rows
+            assert words_module._word_rows(n, ()) == identity
+            assert GeneratorWord(n, ()).matrix().rows == identity
+
+
+def test_random_sln_outputs_are_frozen():
+    # digest of random_sln's rows for n = 2..8 at seeds 0..19, as the
+    # evaluator wrote them before it added columns in place
+    parts = [repr(random_sln(n, random.Random(seed)).rows) for n in range(2, 9) for seed in range(20)]
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "0bf9e026ffbf626674096d281dbb2dc54c68963adeddc94a060315050afb1621"
