@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -432,3 +433,41 @@ def test_products_equal_validated_construction(pair, m):
     assert got == want and hash(got) == hash(want)
     assert (got.n, got.m, got.rows) == (want.n, want.m, want.rows)
     assert all(type(x) is int for row in got.rows for x in row)
+
+
+def _assert_equals_validated_construction(got):
+    want = IntMatrix(got.rows)
+    assert got == want and hash(got) == hash(want)
+    assert (got.n, got.rows) == (want.n, want.rows)
+    assert type(got.rows) is tuple and all(type(row) is tuple for row in got.rows)
+    assert all(type(x) is int for row in got.rows for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs(), unimodular_matrices(), st.integers(1, 6))
+def test_library_built_matrices_equal_validated_construction(pair, unimodular, n):
+    # every matrix the library forms itself from plain ints, also from
+    # inputs whose entries were bools or numpy integers
+    import numpy as np
+
+    from spheremat.permutation import Permutation
+    from spheremat.subgroups import random_sln
+    from spheremat.words import E, TAU, GeneratorWord, symbol_matrix
+
+    a, b = (IntMatrix(rows) for rows in pair)
+    u = IntMatrix([[np.int64(x) if abs(x) < 2**62 else x for x in row] for row in unimodular])
+    flags = IntMatrix([[bool(x % 2) for x in row] for row in pair[0]])
+    images = [np.int64(x) for x in range(2, n + 1)] + [True]
+    for got in (
+        a * b, flags * a, a.transpose(), -a, -flags, flags.transpose(), u.inverse_unimodular(),
+        IntMatrix.identity(n), IntMatrix.identity(np.int64(n)), IntMatrix.identity(True),
+        tau_matrix(n + 1), tau_matrix(np.int64(n + 1)),
+        Permutation(images).matrix(), Permutation([True]).matrix(),
+        GeneratorWord(n + 1, ((E(1, n + 1), True), (TAU, 3), (E(np.int64(2), 1), -5))).matrix(),
+        symbol_matrix(E(np.int64(1), 2), np.int64(n + 1)), symbol_matrix(TAU, n + 1),
+        random_sln(n, random.Random(n)), random_sln(np.int64(n + 1), random.Random(n)),
+    ):
+        _assert_equals_validated_construction(got)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            IntMatrix.identity(bad)

@@ -1,9 +1,10 @@
 import hashlib
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from spheremat.intmat import IntMatrix, elementary_matrix
 from spheremat.permutation import Permutation
@@ -530,6 +531,76 @@ def test_letter_cap_is_read_per_call_and_bounds_the_loop(monkeypatch, k):
     monkeypatch.undo()
     if k == 10**4:
         assert len(decompose_gamma2(_slow_gamma2(k))) == 20001
+
+
+def test_letter_cap_cannot_change_a_refusal(monkeypatch):
+    # a refused input is refused with its own text whatever the cap, and a
+    # member too long for the cap still raises WordLengthError
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 3)
+    with pytest.raises(NotInGroupError, match="^matrix must have determinant 1$"):
+        decompose_sln(IntMatrix([[7, 3, 5], [2, 9, 4], [6, 1, 8]]))  # det 240
+    k = 1000
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 100)
+    outsider = IntMatrix([[2 * k + 1, 2 * k, 0], [2 * k + 2, 2 * k + 3, 0], [0, 0, 1]])
+    assert outsider.det() == 4 * k + 3
+    with pytest.raises(
+        NotInGroupError, match="^matrix is not in the level-2 congruence subgroup$"
+    ):
+        decompose_gamma_n(outsider)
+    member = IntMatrix([[2 * k + 1, 2 * k, 0], [2 * k + 2, 2 * k + 1, 0], [0, 0, 1]])
+    with pytest.raises(WordLengthError, match="^word exceeded 100 letters$"):
+        decompose_gamma_n(member)
+
+
+def _fraction_det(rows):
+    """Independent determinant: Gaussian elimination over Fraction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+@st.composite
+def small_square_matrices(draw):
+    """n = 2..5 with small entries: raw (often singular or of det != 1),
+    built from elementary steps (det 1), or built and then nudged."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(("raw", "built", "nudged")))
+    if kind == "raw":
+        return draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for dst, src, t in draw(st.lists(steps, max_size=8)):
+        if dst != src:
+            rows[dst] = [x + t * y for x, y in zip(rows[dst], rows[src])]
+    if kind == "nudged":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(
+            st.sampled_from((-2, -1, 1, 2))
+        )
+    return rows
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(small_square_matrices())
+def test_sln_refuses_exactly_when_the_determinant_is_not_one(rows):
+    a = IntMatrix(rows)
+    if _fraction_det(rows) != 1:
+        with pytest.raises(NotInGroupError, match="^matrix must have determinant 1$"):
+            decompose_sln(a)
+    else:
+        assert _dense_word(decompose_sln(a)) == a
 
 
 def test_exact_checks_build_no_intmatrix(monkeypatch):
