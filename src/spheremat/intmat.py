@@ -3,6 +3,13 @@
 Everything in this module is integer arithmetic on plain Python ints, so
 entries never overflow and determinants of huge conjugates stay exact.
 Matrices are immutable (tuples of tuples) and hashable.
+
+Every constructor a caller reaches validates its rows (`_square_rows`).
+`IntMatrix._trusted` skips that, and is called only where the library has
+itself formed a nonempty square tuple of int tuples from plain ints: the
+products, transposes, negations, identities and unimodular inverses here,
+`tau_matrix`, `Permutation.matrix`, and the word evaluator's results
+(`GeneratorWord.matrix`, `symbol_matrix`, `random_sln`).
 """
 
 from __future__ import annotations
@@ -95,8 +102,19 @@ class IntMatrix:
         self.n = len(self.rows)
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap a nonempty square tuple of tuples of plain ints as is: no
+        checks, no copy. See the module docstring for who may call it."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.n = len(rows)
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(_identity_rows(n))
+        if n < 1:
+            raise ValueError("dimension must be at least 1")
+        return cls._trusted(_identity_rows(n))
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
@@ -109,7 +127,9 @@ class IntMatrix:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         cols = tuple(zip(*other.rows))
-        return IntMatrix([[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows])
+        return IntMatrix._trusted(
+            tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in self.rows)
+        )
 
     def __pow__(self, exponent: int) -> "IntMatrix":
         if exponent < 0:
@@ -119,7 +139,7 @@ class IntMatrix:
         return _square_and_multiply(self, exponent)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
+        return IntMatrix._trusted(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -134,7 +154,7 @@ class IntMatrix:
         return sum(self.rows[i][i] for i in range(self.n))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return IntMatrix._trusted(tuple(zip(*self.rows)))
 
     def det(self) -> int:
         """Exact determinant: the 2x2 closed form for n = 2, fraction-free
@@ -150,7 +170,7 @@ class IntMatrix:
         d, adj = _det_adjugate(self.rows)
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det={d})")
-        inv = IntMatrix([[d * x for x in row] for row in adj])
+        inv = IntMatrix._trusted(tuple(tuple(d * x for x in row) for row in adj))
         if self * inv != IntMatrix.identity(self.n):
             raise AssertionError("unimodular inverse failed re-multiplication")
         return inv
@@ -321,7 +341,7 @@ def tau_matrix(n: int) -> IntMatrix:
     rows[0][1] = -1
     rows[1][0] = 1
     rows[1][1] = 0
-    return IntMatrix(rows)
+    return IntMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def hyperbolic_check(a: IntMatrix) -> bool:

@@ -99,7 +99,7 @@ class Permutation:
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][self.images[i] - 1] = 1
-        return IntMatrix(rows)
+        return IntMatrix._trusted(tuple(map(tuple, rows)))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, fixed points omitted, each cycle led by its minimum."""

@@ -263,4 +263,4 @@ def random_sln(n: int, rng: random.Random, min_letters: int = 20, max_letters: i
         if j >= i:
             j += 1
         letters.append((E(i + 1, j + 1), rng.choice((1, -1))))
-    return IntMatrix(_word_rows(n, letters))
+    return IntMatrix._trusted(_word_rows(n, letters))

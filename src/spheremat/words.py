@@ -22,7 +22,10 @@ O(L*n) integer operations, whatever its exponents. `_word_rows` is the one
 evaluator; every exact check here compares its rows with a target's rows,
 and an `IntMatrix` is built only for a caller that asks for one. Records
 check each letter once, when built; evaluation checks only the dimension.
-`_eliminate` likewise adds its rows in place, in lists of its own.
+`_eliminate` likewise adds its rows in place, in lists of its own, and
+holds each elimination letter E(dst+1, src+1)^t as the integer key
+dst*n + src with t: merging neighbours compares ints, and the keys become
+E symbols once, when the word is built.
 
 Three bounded caches keep repeated work out of the hot path: `E` (1024
 letters), `_identity_columns` (the identity's columns for 16 dimensions,
@@ -43,6 +46,7 @@ that order.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from typing import Iterable, Optional
 
@@ -181,7 +185,7 @@ def _word_rows(n: int, letters: Iterable[Letter]) -> tuple[tuple[int, ...], ...]
 
 def symbol_matrix(sym: GeneratorSymbol, n: int) -> IntMatrix:
     """Exact matrix of a letter in dimension n; validates index ranges."""
-    return IntMatrix(_word_rows(n, ((sym, 1),)))
+    return IntMatrix._trusted(_word_rows(n, ((sym, 1),)))
 
 
 @record
@@ -204,7 +208,7 @@ class GeneratorWord:
         return len(self.letters)
 
     def matrix(self) -> IntMatrix:
-        return IntMatrix(_word_rows(self.n, self.letters))
+        return IntMatrix._trusted(_word_rows(self.n, self.letters))
 
     def inverse(self) -> "GeneratorWord":
         return GeneratorWord(
@@ -238,33 +242,44 @@ def is_congruence_word(word: GeneratorWord) -> bool:
 
 
 class _Builder:
-    """Accumulates letters, merging adjacent same-symbol runs and dropping zeros."""
+    """The elimination's letters, merging equal neighbours and dropping zeros.
+
+    An elimination letter E(dst+1, src+1)^exp is held as the integer key
+    dst*n + src with its exponent, so a merge compares two ints; `word`
+    turns the keys into E symbols once, at the end. The sign-pair letters
+    that close a congruence word (J flips, NEG) are held as their symbols.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.cap = WORD_LETTER_CAP  # looked up now, not at import
-        self.letters: list[Letter] = []
+        self.letters: list[tuple[int | GeneratorSymbol, int]] = []
 
-    def push(self, sym: GeneratorSymbol, exp: int) -> None:
+    def push(self, key: int | GeneratorSymbol, exp: int) -> None:
         if exp == 0:
             return
-        if self.letters and self.letters[-1][0] == sym:
-            merged = self.letters[-1][1] + exp
+        letters = self.letters
+        if letters and letters[-1][0] == key:
+            merged = letters[-1][1] + exp
             if merged == 0:
-                self.letters.pop()
+                letters.pop()
             else:
-                self.letters[-1] = (sym, merged)
+                letters[-1] = (key, merged)
         else:
-            self.letters.append((sym, exp))
-            if len(self.letters) > self.cap:
+            letters.append((key, exp))
+            if len(letters) > self.cap:
                 raise WordLengthError(f"word exceeded {self.cap} letters")
 
-    def extend(self, letters: Iterable[Letter]) -> None:
-        for sym, exp in letters:
-            self.push(sym, exp)
+    def extend(self, letters: Iterable[tuple[int | GeneratorSymbol, int]]) -> None:
+        for key, exp in letters:
+            self.push(key, exp)
 
     def word(self) -> GeneratorWord:
-        return GeneratorWord(self.n, tuple(self.letters))
+        n = self.n
+        return GeneratorWord(n, tuple(
+            (E(key // n + 1, key % n + 1) if type(key) is int else key, exp)
+            for key, exp in self.letters
+        ))
 
 
 def jrange_expand(i: int, k: int, n: int) -> GeneratorWord:
@@ -449,22 +464,31 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
     Below the diagonal, each iteration either subtracts the nearest multiple
     of step*pivot from the entry or, when that multiple is zero, reduces the
     pivot by the entry (a zero pivot, possible only with step 1, takes the
-    entry's row). With step 2 the diagonal stays odd and the off-diagonal
-    entries even, so every centered remainder is strict. Above the diagonal
-    the +-1 pivots clear each entry in one step. The -1 entries of D pair
-    up: as NEG at the front in dimension 2, as `jrange_expand` flips in
-    congruence words of dimension >= 3, and as a squared quarter turn in
-    elementary words.
+    entry's row). With step 2 this needs a = I mod 2: the diagonal then
+    stays odd and the off-diagonal entries even, so every centered remainder
+    is strict. On any other input it need not end, and on [[2,1],[1,1]] it
+    spins without a letter, so the cap does not stop it either; the step-2
+    callers test congruence first.
+
+    Row additions keep the determinant, so once the entries below the
+    diagonal are cleared, det(a) is the product of the diagonal. Unless it
+    is 1 the elimination stops there with NotInGroupError("matrix must have
+    determinant 1"); otherwise every pivot is +-1 and those above the
+    diagonal clear each entry in one step. The -1 entries of D pair up: as
+    NEG at the front in dimension 2, as `jrange_expand` flips in congruence
+    words of dimension >= 3, and as a squared quarter turn in elementary
+    words.
     """
     n = a.n
     m = [list(row) for row in a.rows]
     builder = _Builder(n)
+    push = builder.push
 
     def row_add(dst: int, src: int, t: int) -> None:
         d, s = m[dst], m[src]  # distinct rows of `m`, each its own list
         for k in range(n):
             d[k] += t * s[k]
-        builder.push(E(dst + 1, src + 1), -t)
+        push(dst * n + src, -t)
 
     for c in range(n):
         for r in range(c + 1, n):
@@ -478,24 +502,24 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
                     row_add(r, c, -step * q)
                 else:
                     row_add(c, r, -step * _round_div(pivot, step * m[r][c]))
+    if math.prod(m[c][c] for c in range(n)) != 1:
+        raise NotInGroupError("matrix must have determinant 1")
     for c in range(1, n):
         pivot = m[c][c]
         for r in range(c):
             e = m[r][c]
             if e:
                 row_add(r, c, -e * pivot)  # pivot is +-1; e is even when step is 2
-    negs = [i + 1 for i in range(n) if m[i][i] == -1]
-    if len(negs) % 2:
-        raise AssertionError("odd number of -1 pivots contradicts determinant 1")
+    negs = [i for i in range(n) if m[i][i] == -1]
     for i, k in zip(negs[::2], negs[1::2]):
         if step == 1:
             # a quarter turn in the (i,k) plane, squared, is the sign pair there
-            quarter = [(E(k, i), 1), (E(i, k), -1), (E(k, i), 1)]
+            quarter = [(k * n + i, 1), (i * n + k, -1), (k * n + i, 1)]
             builder.extend(quarter + quarter)
         elif n == 2:
             builder.letters.insert(0, (NEG, 1))  # central, so it may lead
         else:
-            builder.extend(jrange_expand(i, k, n).letters)
+            builder.extend(jrange_expand(i + 1, k + 1, n).letters)
     return builder.word()
 
 
@@ -539,12 +563,20 @@ def decompose_sln(a: IntMatrix) -> GeneratorWord:
     """Write any determinant-one matrix as a product of elementary letters.
 
     Row elimination with integer multiples (see `_eliminate`); pairs of -1
-    diagonal entries left at the end become squared quarter turns. The word
-    is verified by exact re-multiplication before it is returned.
+    diagonal entries left at the end become squared quarter turns. The
+    elimination reads the determinant off its diagonal and refuses a matrix
+    whose determinant is not 1. Should the letter cap stop it first, the
+    determinant is taken with `a.det()`, so that such a matrix is refused as
+    such whatever the cap. The word is verified by exact re-multiplication
+    before it is returned.
     """
-    if a.det() != 1:
-        raise NotInGroupError("matrix must have determinant 1")
-    return _verified(_eliminate(a, 1), a, "elementary")
+    try:
+        word = _eliminate(a, 1)
+    except WordLengthError:
+        if a.det() != 1:
+            raise NotInGroupError("matrix must have determinant 1") from None
+        raise
+    return _verified(word, a, "elementary")
 
 
 # ---------------------------------------------------------------------------
