@@ -452,19 +452,21 @@ def test_library_built_matrices_equal_validated_construction(pair, unimodular, n
 
     from spheremat.permutation import Permutation
     from spheremat.subgroups import random_sln
-    from spheremat.words import E, TAU, GeneratorWord, symbol_matrix
+    from spheremat.words import E, TAU, GeneratorSymbol, GeneratorWord, symbol_matrix
 
     a, b = (IntMatrix(rows) for rows in pair)
     u = IntMatrix([[np.int64(x) if abs(x) < 2**62 else x for x in row] for row in unimodular])
     flags = IntMatrix([[bool(x % 2) for x in row] for row in pair[0]])
     images = [np.int64(x) for x in range(2, n + 1)] + [True]
+    # built directly, so that `E`'s cache keeps its int-indexed letters
+    e21, e12 = (GeneratorSymbol("E", np.int64(i), j) for i, j in ((2, 1), (1, 2)))
     for got in (
         a * b, flags * a, a.transpose(), -a, -flags, flags.transpose(), u.inverse_unimodular(),
         IntMatrix.identity(n), IntMatrix.identity(np.int64(n)), IntMatrix.identity(True),
         tau_matrix(n + 1), tau_matrix(np.int64(n + 1)),
         Permutation(images).matrix(), Permutation([True]).matrix(),
-        GeneratorWord(n + 1, ((E(1, n + 1), True), (TAU, 3), (E(np.int64(2), 1), -5))).matrix(),
-        symbol_matrix(E(np.int64(1), 2), np.int64(n + 1)), symbol_matrix(TAU, n + 1),
+        GeneratorWord(n + 1, ((E(1, n + 1), True), (TAU, 3), (e21, -5))).matrix(),
+        symbol_matrix(e12, np.int64(n + 1)), symbol_matrix(TAU, n + 1),
         random_sln(n, random.Random(n)), random_sln(np.int64(n + 1), random.Random(n)),
     ):
         _assert_equals_validated_construction(got)
