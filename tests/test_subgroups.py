@@ -25,6 +25,7 @@ from spheremat.subgroups import (
     mod2_class,
     pre_dot,
     random_sln,
+    representative_matrix,
 )
 from spheremat.words import random_congruence_word
 
@@ -143,6 +144,37 @@ def test_coset_certificate_random_roundtrip():
         assert cert.sigma.is_even
         assert in_congruence(cert.residual, 2)
         assert cert.reconstruct() == member
+
+
+def test_representative_matrix_equals_the_dense_product():
+    # the representative is written row by row; it must be the product of
+    # the quarter turn (or the identity) with the permutation matrix
+    for n in range(1, 7):
+        for images in itertools.permutations(range(1, n + 1)):
+            sigma = Permutation(images)
+            assert representative_matrix(False, sigma) == IntMatrix.identity(n) * sigma.matrix()
+            if n == 1:
+                with pytest.raises(ValueError, match="^tau requires n >= 2$"):
+                    representative_matrix(True, sigma)
+            else:
+                assert representative_matrix(True, sigma) == tau_matrix(n) * sigma.matrix()
+
+
+def test_coset_residual_is_the_transposed_representative_times_a():
+    rng = random.Random(2029)
+    swap = {n: Permutation.transposition(n, 1, 2) for n in range(2, 9)}
+    for n in range(2, 9):
+        for _ in range(25):
+            sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            if not sigma.is_even:
+                sigma = sigma * swap[n]
+            lead = sigma.matrix()
+            if rng.random() < 0.5:
+                lead = tau_matrix(n) * lead
+            a = lead * random_congruence_word(n, rng, max_letters=8).matrix()
+            cert = coset_certificate(a)
+            rep = representative_matrix(cert.uses_tau, cert.sigma)
+            assert cert.residual == rep.transpose() * a
 
 
 def test_w2_closure_under_product_and_inverse():

@@ -13,6 +13,7 @@ import spheremat.words as words_module
 from spheremat.cli import main
 from spheremat.words import (
     E,
+    GeneratorSymbol,
     GeneratorWord,
     J,
     JR,
@@ -550,6 +551,37 @@ def test_letter_cap_cannot_change_a_refusal(monkeypatch):
     member = IntMatrix([[2 * k + 1, 2 * k, 0], [2 * k + 2, 2 * k + 1, 0], [0, 0, 1]])
     with pytest.raises(WordLengthError, match="^word exceeded 100 letters$"):
         decompose_gamma_n(member)
+
+
+def _sign_pair_cases():
+    """A -1 pair times one or two letters E^+-1: the quarter turns that close
+    such words merge with the letters before them, some to exponent zero."""
+    rng = random.Random(20261020)
+    for n in range(2, 6):
+        for _ in range(40):
+            signs = [1] * n
+            for i in rng.sample(range(n), 2):
+                signs[i] = -1
+            letters = tuple(
+                (E(*rng.sample(range(1, n + 1), 2)), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 2))
+            )
+            yield decompose_sln, IntMatrix.diagonal(signs) * GeneratorWord(n, letters).matrix()
+
+
+def test_elimination_words_equal_validated_construction():
+    # the elimination builds its words without re-checking each letter; what
+    # it builds must be exactly what the validating constructor accepts
+    for decompose, a in [*_frozen_cases(), *_sign_pair_cases()]:
+        word = decompose(a)
+        assert type(word.letters) is tuple
+        assert GeneratorWord(word.n, word.letters) == word
+        for letter in word.letters:
+            sym, exp = letter
+            assert type(letter) is tuple and type(exp) is int and exp != 0
+            assert type(sym) is GeneratorSymbol
+            if sym.kind == "E":
+                assert sym is E(sym.i, sym.j)
 
 
 def _fraction_det(rows):
