@@ -8,8 +8,9 @@ Every constructor a caller reaches validates its rows (`_square_rows`).
 `IntMatrix._trusted` skips that, and is called only where the library has
 itself formed a nonempty square tuple of int tuples from plain ints: the
 products, transposes, negations, identities and unimodular inverses here,
-`tau_matrix`, `Permutation.matrix`, and the word evaluator's results
-(`GeneratorWord.matrix`, `symbol_matrix`, `random_sln`).
+`tau_matrix`, `Permutation.matrix`, the coset representatives and residuals
+(`representative_matrix`, `coset_certificate`), and the word evaluator's
+results (`GeneratorWord.matrix`, `symbol_matrix`, `random_sln`).
 """
 
 from __future__ import annotations

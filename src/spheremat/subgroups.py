@@ -17,6 +17,12 @@ reference the even-k verdict is tested against. `_congruence_failure`
 decides `in_congruence`. The two `_failure` helpers name the first failing
 witness. `_class_representative` is the one coset-representative rule, read
 by `coset_certificate` and `coset_representatives`.
+
+A representative (tau if used, else I) * P_sigma is a signed permutation
+matrix, written row by row from `_representative_entries`. So the residual
+R^T * a of a coset certificate is a signed row permutation of `a`, formed
+without a product; `CosetCertificate.verify` still checks the residual's
+determinant and residue and re-multiplies R * residual == a on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import random
 from typing import Iterator, Optional, Sequence
 
 from ._record import record
-from .intmat import IntMatrix, _int_tuple, tau_matrix
+from .intmat import IntMatrix, _int_tuple
 from .permutation import Permutation
 
 K_HOPF = "hopf"
@@ -163,9 +169,30 @@ def coset_representatives(n: int) -> list[tuple[bool, Permutation]]:
     ]
 
 
+def _representative_entries(uses_tau: bool, sigma: Permutation) -> list[tuple[int, int]]:
+    """(column, sign), 0-based, of the one nonzero entry in each row of the
+    representative (tau if uses_tau else I) * P_sigma.
+
+    Row i of P_sigma has its 1 in column sigma(i); tau's rows are -e_2, e_1,
+    e_3, .., so it swaps the first two rows and negates the new first one.
+    """
+    entries = [(x - 1, 1) for x in sigma.images]
+    if uses_tau:
+        if sigma.n < 2:
+            raise ValueError("tau requires n >= 2")
+        (c0, _), (c1, _) = entries[0], entries[1]
+        entries[0], entries[1] = (c1, -1), (c0, 1)
+    return entries
+
+
 def representative_matrix(uses_tau: bool, sigma: Permutation) -> IntMatrix:
-    lead = tau_matrix(sigma.n) if uses_tau else IntMatrix.identity(sigma.n)
-    return lead * sigma.matrix()
+    n = sigma.n
+    rows = []
+    for c, s in _representative_entries(uses_tau, sigma):
+        row = [0] * n
+        row[c] = s
+        rows.append(tuple(row))
+    return IntMatrix._trusted(tuple(rows))
 
 
 def coset_certificate(a: IntMatrix) -> CosetCertificate:
@@ -181,8 +208,12 @@ def coset_certificate(a: IntMatrix) -> CosetCertificate:
     cls = mod2_class(a)
     assert cls is not None  # in_W2 guarantees a permutation class
     uses_tau, sigma = _class_representative(cls)
-    # the representative is orthogonal: (tau P_sigma)^-1 = (tau P_sigma)^T
-    residual = representative_matrix(uses_tau, sigma).transpose() * a
+    # the representative R is a signed permutation, so R^-1 = R^T, and R^T * a
+    # puts s times row i of `a` in row c, for the entry (c, s) of R's row i
+    rows: list = [None] * a.n
+    for (c, s), row in zip(_representative_entries(uses_tau, sigma), a.rows):
+        rows[c] = row if s == 1 else tuple(-x for x in row)
+    residual = IntMatrix._trusted(tuple(rows))
     cert = CosetCertificate(uses_tau=uses_tau, sigma=sigma, residual=residual)
     if not cert.verify(a):
         raise AssertionError("coset certificate failed self-verification")

@@ -25,13 +25,22 @@ check each letter once, when built; evaluation checks only the dimension.
 `_eliminate` likewise adds its rows in place, in lists of its own, and
 holds each elimination letter E(dst+1, src+1)^t as the integer key
 dst*n + src with t: merging neighbours compares ints, and the keys become
-E symbols once, when the word is built.
+E symbols once, when the word is built, by one index into a per-n tuple.
 
-Three bounded caches keep repeated work out of the hot path: `E` (1024
-letters), `_identity_columns` (the identity's columns for 16 dimensions,
-copied into fresh lists on each evaluation) and `_parse_symbol` (1024
-tokens, under 2 MB up to n = 100). Each holds immutable values only; a
-`Permutation` refuses assignment, so a cached P letter cannot change.
+`GeneratorWord._trusted` wraps letters without re-checking them, and only
+`_Builder.word` calls it: the elimination forms nonzero int exponents and
+takes its symbols from this module (E from `_e_symbols`, J from
+`jrange_expand`, NEG), so the check could only pass. Skipping it weakens no
+check on a result: `_verified` still evaluates every decomposition's word
+against its input before the word is returned.
+
+Four bounded caches keep repeated work out of the hot path: `E` (1024
+letters), `_e_symbols` (the E letters of 8 dimensions, the very objects
+`E` returned, indexed by key), `_identity_columns` (the identity's columns
+for 16 dimensions, copied into fresh lists on each evaluation) and
+`_parse_symbol` (1024 tokens, under 2 MB up to n = 100). Each holds
+immutable values only; a `Permutation` refuses assignment, so a cached P
+letter cannot change.
 
 The conjugation rewrite tables below (pushing an elementary letter across
 a congruence generator) are not taken on faith: on each call the table
@@ -204,6 +213,15 @@ class GeneratorWord:
             if not isinstance(exp, int):
                 raise ValueError(f"exponent {exp!r} is not an integer")
 
+    @classmethod
+    def _trusted(cls, n: int, letters: tuple[Letter, ...]) -> "GeneratorWord":
+        """Wrap `letters` as is, without `__post_init__`'s letter check. See the
+        module docstring for who may call it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+        return self
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -241,6 +259,19 @@ def is_congruence_word(word: GeneratorWord) -> bool:
     return True
 
 
+# 8 dimensions (n = 1..8 fit) of n^2 references and the n(n-1) letters `E`
+# made for them: 9 KB at n = 8, 0.7 MB at n = 100 (tracemalloc). `E` caches
+# the same objects while its 1024 entries hold them, all of them to n = 32.
+@functools.lru_cache(maxsize=8)
+def _e_symbols(n: int) -> tuple[Optional[GeneratorSymbol], ...]:
+    """E(dst+1, src+1) at index dst*n + src, None on the diagonal."""
+    return tuple(E(d + 1, s + 1) if d != s else None for d in range(n) for s in range(n))
+
+
+def _too_long(cap: int) -> WordLengthError:
+    return WordLengthError(f"word exceeded {cap} letters")
+
+
 class _Builder:
     """The elimination's letters, merging equal neighbours and dropping zeros.
 
@@ -248,6 +279,7 @@ class _Builder:
     dst*n + src with its exponent, so a merge compares two ints; `word`
     turns the keys into E symbols once, at the end. The sign-pair letters
     that close a congruence word (J flips, NEG) are held as their symbols.
+    Every letter counts against the cap, wherever it goes in the word.
     """
 
     def __init__(self, n: int):
@@ -268,18 +300,24 @@ class _Builder:
         else:
             letters.append((key, exp))
             if len(letters) > self.cap:
-                raise WordLengthError(f"word exceeded {self.cap} letters")
+                raise _too_long(self.cap)
 
     def extend(self, letters: Iterable[tuple[int | GeneratorSymbol, int]]) -> None:
         for key, exp in letters:
             self.push(key, exp)
 
+    def lead(self, sym: GeneratorSymbol) -> None:
+        """Put `sym`, which must be central, in front of the word."""
+        self.letters.insert(0, (sym, 1))
+        if len(self.letters) > self.cap:
+            raise _too_long(self.cap)
+
     def word(self) -> GeneratorWord:
-        n = self.n
-        return GeneratorWord(n, tuple(
-            (E(key // n + 1, key % n + 1) if type(key) is int else key, exp)
-            for key, exp in self.letters
-        ))
+        # every exponent is a nonzero int and every symbol the library's own
+        syms = _e_symbols(self.n)
+        return GeneratorWord._trusted(self.n, tuple([
+            (syms[key], exp) if type(key) is int else (key, exp) for key, exp in self.letters
+        ]))
 
 
 def jrange_expand(i: int, k: int, n: int) -> GeneratorWord:
@@ -445,15 +483,6 @@ def rewrite_table_audit(n: int) -> list[RewriteCaseReport]:
 # decompositions
 # ---------------------------------------------------------------------------
 
-def _round_div(x: int, m: int) -> int:
-    """Nearest-integer quotient of x/m (positive-modulus ties round up)."""
-    if m == 0:
-        raise ZeroDivisionError("division by zero modulus")
-    am = abs(m)
-    q = (2 * x + am) // (2 * am)
-    return q if m > 0 else -q
-
-
 def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
     """Word for `a` from row elimination with multiples of `step` (2 or 1).
 
@@ -480,36 +509,59 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
     words.
     """
     n = a.n
-    m = [list(row) for row in a.rows]
+    m = [list(row) for row in a.rows]  # distinct rows, each its own list
     builder = _Builder(n)
-    push = builder.push
-
-    def row_add(dst: int, src: int, t: int) -> None:
-        d, s = m[dst], m[src]  # distinct rows of `m`, each its own list
-        for k in range(n):
-            d[k] += t * s[k]
-        push(dst * n + src, -t)
-
+    letters, cap = builder.letters, builder.cap
+    # Each step adds t times row `src` to row `dst` and records the inverse
+    # letter E(dst+1, src+1)^-t as `builder.push` would, inline: the lower
+    # phase makes most of the steps. Rows c.. are zero left of column c, so
+    # the additions start there.
     for c in range(n):
+        top = m[c]
         for r in range(c + 1, n):
-            while m[r][c] != 0:
-                pivot = m[c][c]
+            row = m[r]
+            while row[c]:
+                pivot, x = top[c], row[c]
                 if pivot == 0:
-                    row_add(c, r, 1)
-                    continue
-                q = _round_div(m[r][c], step * pivot)
-                if q:
-                    row_add(r, c, -step * q)
+                    dst, src, key, t = top, row, c * n + r, 1
                 else:
-                    row_add(c, r, -step * _round_div(pivot, step * m[r][c]))
+                    # nearest quotients; ties round up for a positive divisor
+                    d = abs(step * pivot)
+                    q = (2 * x + d) // (2 * d)
+                    if q:
+                        dst, src, key, t = row, top, r * n + c, -step * (q if pivot > 0 else -q)
+                    else:
+                        d = abs(step * x)
+                        q = (2 * pivot + d) // (2 * d)
+                        t = -step * (q if x > 0 else -q)
+                        if not t:  # only off the congruence: the loop spins
+                            continue
+                        dst, src, key = top, row, c * n + r
+                for k in range(c, n):
+                    dst[k] += t * src[k]
+                if letters and letters[-1][0] == key:
+                    merged = letters[-1][1] - t
+                    if merged:
+                        letters[-1] = (key, merged)
+                    else:
+                        letters.pop()
+                else:
+                    letters.append((key, -t))
+                    if len(letters) > cap:
+                        raise _too_long(cap)
     if math.prod(m[c][c] for c in range(n)) != 1:
         raise NotInGroupError("matrix must have determinant 1")
+    push = builder.push
     for c in range(1, n):
-        pivot = m[c][c]
+        src = m[c]
+        pivot = src[c]
         for r in range(c):
-            e = m[r][c]
-            if e:
-                row_add(r, c, -e * pivot)  # pivot is +-1; e is even when step is 2
+            dst = m[r]
+            t = -dst[c] * pivot  # pivot is +-1; the entry is even when step is 2
+            if t:
+                for k in range(c, n):
+                    dst[k] += t * src[k]
+                push(r * n + c, -t)
     negs = [i for i in range(n) if m[i][i] == -1]
     for i, k in zip(negs[::2], negs[1::2]):
         if step == 1:
@@ -517,7 +569,7 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
             quarter = [(k * n + i, 1), (i * n + k, -1), (k * n + i, 1)]
             builder.extend(quarter + quarter)
         elif n == 2:
-            builder.letters.insert(0, (NEG, 1))  # central, so it may lead
+            builder.lead(NEG)  # central, so it may lead
         else:
             builder.extend(jrange_expand(i + 1, k + 1, n).letters)
     return builder.word()

@@ -553,6 +553,20 @@ def test_letter_cap_cannot_change_a_refusal(monkeypatch):
         decompose_gamma_n(member)
 
 
+def test_letter_cap_counts_the_leading_neg(monkeypatch):
+    # NEG goes in front of a dimension-2 word, and counts like any other letter
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 1)
+    with pytest.raises(WordLengthError, match="^word exceeded 1 letters$"):
+        decompose_gamma2(IntMatrix([[-1, 2], [0, -1]]))
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 0)
+    with pytest.raises(WordLengthError, match="^word exceeded 0 letters$"):
+        decompose_gamma2(IntMatrix([[-1, 0], [0, -1]]))
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 2)
+    assert word_to_str(decompose_gamma2(IntMatrix([[-1, 2], [0, -1]]))) == "NEG E(1,2)^-2"
+    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 1)
+    assert word_to_str(decompose_gamma2(IntMatrix([[-1, 0], [0, -1]]))) == "NEG"
+
+
 def _sign_pair_cases():
     """A -1 pair times one or two letters E^+-1: the quarter turns that close
     such words merge with the letters before them, some to exponent zero."""
