@@ -598,6 +598,29 @@ def test_elimination_words_equal_validated_construction():
                 assert sym is E(sym.i, sym.j)
 
 
+def test_letter_cap_outcomes_are_frozen(monkeypatch):
+    # the word, or the cap's error text, at every cap from 0 to the word's
+    # length: pins where the cap trips while letters merge, some to zero
+    rng = random.Random(20261021)
+    cases = [*_sign_pair_cases()]
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        word = random_congruence_word(n, rng, max_letters=12, min_letters=4)
+        cases.append((decompose_gamma_n, word.matrix()))
+    outcomes = []
+    for decompose, a in cases:
+        for cap in range(len(decompose(a)) + 1):
+            with monkeypatch.context() as m:
+                m.setattr(words_module, "WORD_LETTER_CAP", cap)
+                try:
+                    outcomes.append(word_to_str(decompose(a)))
+                except WordLengthError as exc:
+                    outcomes.append(str(exc))
+    assert len(outcomes) == 1532
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "22495bb2b0b21ef877709541e1a3d1324331e71c7f9135f5eca01ae0fc6a6eab"
+
+
 def _fraction_det(rows):
     """Independent determinant: Gaussian elimination over Fraction."""
     a = [[Fraction(x) for x in row] for row in rows]
