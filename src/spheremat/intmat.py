@@ -15,6 +15,7 @@ results (`GeneratorWord.matrix`, `symbol_matrix`, `random_sln`).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterable, Sequence
@@ -70,6 +71,9 @@ def _square_rows(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     return frozen
 
 
+# 16 dimensions of n^2 references each, 80 KB at n = 100; typed, so that a
+# float n still fails
+@functools.lru_cache(maxsize=16, typed=True)
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """The n x n identity as row tuples, unchecked."""
     zero = (0,) * n

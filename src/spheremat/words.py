@@ -22,25 +22,22 @@ O(L*n) integer operations, whatever its exponents. `_word_rows` is the one
 evaluator; every exact check here compares its rows with a target's rows,
 and an `IntMatrix` is built only for a caller that asks for one. Records
 check each letter once, when built; evaluation checks only the dimension.
-`_eliminate` likewise adds its rows in place, in lists of its own, and
-holds each elimination letter E(dst+1, src+1)^t as the integer key
-dst*n + src with t: merging neighbours compares ints, and the keys become
-E symbols once, when the word is built, by one index into a per-n tuple.
+`_eliminate` likewise adds its rows in place, in lists of its own.
 
 `GeneratorWord._trusted` wraps letters without re-checking them, and only
-`_Builder.word` calls it: the elimination forms nonzero int exponents and
+`_eliminate` calls it: the elimination forms nonzero int exponents and
 takes its symbols from this module (E from `_e_symbols`, J from
 `jrange_expand`, NEG), so the check could only pass. Skipping it weakens no
 check on a result: `_verified` still evaluates every decomposition's word
 against its input before the word is returned.
 
-Four bounded caches keep repeated work out of the hot path: `E` (1024
-letters), `_e_symbols` (the E letters of 8 dimensions, the very objects
-`E` returned, indexed by key), `_identity_columns` (the identity's columns
-for 16 dimensions, copied into fresh lists on each evaluation) and
-`_parse_symbol` (1024 tokens, under 2 MB up to n = 100). Each holds
-immutable values only; a `Permutation` refuses assignment, so a cached P
-letter cannot change.
+Three bounded caches keep repeated work out of the hot path: `E` (1024
+letters), `_e_symbols` (the E letters of 8 dimensions, indexed as the
+elimination's steps name them) and `_parse_symbol` (1024 tokens, under
+2 MB up to n = 100); the identity's rows come from `intmat`'s cache and
+are copied into fresh lists on each evaluation. Each holds immutable
+values only; a `Permutation` refuses assignment, so a cached P letter
+cannot change.
 
 The conjugation rewrite tables below (pushing an elementary letter across
 a congruence generator) are not taken on faith: on each call the table
@@ -60,7 +57,7 @@ import random
 from typing import Iterable, Optional
 
 from ._record import record
-from .intmat import IntMatrix, WordLengthError
+from .intmat import IntMatrix, WordLengthError, _identity_rows
 from .permutation import Permutation
 from .subgroups import NotInGroupError, in_congruence
 
@@ -130,21 +127,14 @@ def P(sigma: Permutation) -> GeneratorSymbol:
 Letter = tuple[GeneratorSymbol, int]
 
 
-# 16 dimensions of n^2 references each, 80 KB at n = 100; typed, as
-# `_parse_symbol` is, so that a float n still fails
-@functools.lru_cache(maxsize=16, typed=True)
-def _identity_columns(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(r == c) for r in range(n)) for c in range(n))
-
-
 def _word_rows(n: int, letters: Iterable[Letter]) -> tuple[tuple[int, ...], ...]:
     """Rows of the product of `letters` in dimension n, evaluated exactly.
 
-    Fresh lists of the identity's columns are right-multiplied by each
-    letter in turn. A letter whose indices do not fit in dimension n raises
-    ValueError.
+    Fresh lists of the identity's columns (its rows: it is symmetric) are
+    right-multiplied by each letter in turn. A letter whose indices do not
+    fit in dimension n raises ValueError.
     """
-    cols = list(map(list, _identity_columns(n)))
+    cols = list(map(list, _identity_rows(n)))
     for sym, exp in letters:
         kind = sym.kind
         if kind == "E":
@@ -259,65 +249,16 @@ def is_congruence_word(word: GeneratorWord) -> bool:
     return True
 
 
-# 8 dimensions (n = 1..8 fit) of n^2 references and the n(n-1) letters `E`
-# made for them: 9 KB at n = 8, 0.7 MB at n = 100 (tracemalloc). `E` caches
-# the same objects while its 1024 entries hold them, all of them to n = 32.
+# 8 dimensions (n = 1..8 fit) of n^2 references and n(n-1) letters: 9 KB at
+# n = 8, 0.7 MB at n = 100 (tracemalloc). Built apart from `E`, so that a
+# large n does not evict `E`'s cached letters.
 @functools.lru_cache(maxsize=8)
 def _e_symbols(n: int) -> tuple[Optional[GeneratorSymbol], ...]:
     """E(dst+1, src+1) at index dst*n + src, None on the diagonal."""
-    return tuple(E(d + 1, s + 1) if d != s else None for d in range(n) for s in range(n))
-
-
-def _too_long(cap: int) -> WordLengthError:
-    return WordLengthError(f"word exceeded {cap} letters")
-
-
-class _Builder:
-    """The elimination's letters, merging equal neighbours and dropping zeros.
-
-    An elimination letter E(dst+1, src+1)^exp is held as the integer key
-    dst*n + src with its exponent, so a merge compares two ints; `word`
-    turns the keys into E symbols once, at the end. The sign-pair letters
-    that close a congruence word (J flips, NEG) are held as their symbols.
-    Every letter counts against the cap, wherever it goes in the word.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.cap = WORD_LETTER_CAP  # looked up now, not at import
-        self.letters: list[tuple[int | GeneratorSymbol, int]] = []
-
-    def push(self, key: int | GeneratorSymbol, exp: int) -> None:
-        if exp == 0:
-            return
-        letters = self.letters
-        if letters and letters[-1][0] == key:
-            merged = letters[-1][1] + exp
-            if merged == 0:
-                letters.pop()
-            else:
-                letters[-1] = (key, merged)
-        else:
-            letters.append((key, exp))
-            if len(letters) > self.cap:
-                raise _too_long(self.cap)
-
-    def extend(self, letters: Iterable[tuple[int | GeneratorSymbol, int]]) -> None:
-        for key, exp in letters:
-            self.push(key, exp)
-
-    def lead(self, sym: GeneratorSymbol) -> None:
-        """Put `sym`, which must be central, in front of the word."""
-        self.letters.insert(0, (sym, 1))
-        if len(self.letters) > self.cap:
-            raise _too_long(self.cap)
-
-    def word(self) -> GeneratorWord:
-        # every exponent is a nonzero int and every symbol the library's own
-        syms = _e_symbols(self.n)
-        return GeneratorWord._trusted(self.n, tuple([
-            (syms[key], exp) if type(key) is int else (key, exp) for key, exp in self.letters
-        ]))
+    return tuple(
+        GeneratorSymbol("E", d + 1, s + 1) if d != s else None
+        for d in range(n) for s in range(n)
+    )
 
 
 def jrange_expand(i: int, k: int, n: int) -> GeneratorWord:
@@ -507,15 +448,35 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
     NEG at the front in dimension 2, as `jrange_expand` flips in congruence
     words of dimension >= 3, and as a squared quarter turn in elementary
     words.
+
+    Every letter goes through one `push`: on the last letter's symbol it
+    adds its exponent there and drops the pair at sum zero, else it is
+    appended and the cap checked, so the cap bounds the merged word. E
+    symbols all come from `_e_symbols(n)`, so `is` decides equality; no J
+    flip equals the letter before it.
     """
     n = a.n
     m = [list(row) for row in a.rows]  # distinct rows, each its own list
-    builder = _Builder(n)
-    letters, cap = builder.letters, builder.cap
-    # Each step adds t times row `src` to row `dst` and records the inverse
-    # letter E(dst+1, src+1)^-t as `builder.push` would, inline: the lower
-    # phase makes most of the steps. Rows c.. are zero left of column c, so
-    # the additions start there.
+    syms = _e_symbols(n)
+    cap = WORD_LETTER_CAP  # looked up per call, not at import
+    letters: list[Letter] = []
+
+    def push(sym: GeneratorSymbol, exp: int) -> None:
+        # exp is never 0: the lower phase skips t = 0, the upper tests t
+        if letters and letters[-1][0] is sym:
+            merged = letters[-1][1] + exp
+            if merged:
+                letters[-1] = (sym, merged)
+            else:
+                letters.pop()
+        else:
+            letters.append((sym, exp))
+            if len(letters) > cap:
+                raise WordLengthError(f"word exceeded {cap} letters")
+
+    # Each step adds t times row `src` to row `dst` and pushes the inverse
+    # letter E(dst+1, src+1)^-t. Rows c.. are zero left of column c, so the
+    # additions start there.
     for c in range(n):
         top = m[c]
         for r in range(c + 1, n):
@@ -523,35 +484,25 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
             while row[c]:
                 pivot, x = top[c], row[c]
                 if pivot == 0:
-                    dst, src, key, t = top, row, c * n + r, 1
+                    dst, src, sym, t = top, row, syms[c * n + r], 1
                 else:
                     # nearest quotients; ties round up for a positive divisor
                     d = abs(step * pivot)
                     q = (2 * x + d) // (2 * d)
                     if q:
-                        dst, src, key, t = row, top, r * n + c, -step * (q if pivot > 0 else -q)
+                        dst, src, sym, t = row, top, syms[r * n + c], -step * (q if pivot > 0 else -q)
                     else:
                         d = abs(step * x)
                         q = (2 * pivot + d) // (2 * d)
                         t = -step * (q if x > 0 else -q)
                         if not t:  # only off the congruence: the loop spins
                             continue
-                        dst, src, key = top, row, c * n + r
+                        dst, src, sym = top, row, syms[c * n + r]
                 for k in range(c, n):
                     dst[k] += t * src[k]
-                if letters and letters[-1][0] == key:
-                    merged = letters[-1][1] - t
-                    if merged:
-                        letters[-1] = (key, merged)
-                    else:
-                        letters.pop()
-                else:
-                    letters.append((key, -t))
-                    if len(letters) > cap:
-                        raise _too_long(cap)
+                push(sym, -t)
     if math.prod(m[c][c] for c in range(n)) != 1:
         raise NotInGroupError("matrix must have determinant 1")
-    push = builder.push
     for c in range(1, n):
         src = m[c]
         pivot = src[c]
@@ -561,18 +512,22 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
             if t:
                 for k in range(c, n):
                     dst[k] += t * src[k]
-                push(r * n + c, -t)
+                push(syms[r * n + c], -t)
     negs = [i for i in range(n) if m[i][i] == -1]
     for i, k in zip(negs[::2], negs[1::2]):
         if step == 1:
             # a quarter turn in the (i,k) plane, squared, is the sign pair there
-            quarter = [(k * n + i, 1), (i * n + k, -1), (k * n + i, 1)]
-            builder.extend(quarter + quarter)
+            ki, ik = syms[k * n + i], syms[i * n + k]
+            for sym, exp in 2 * ((ki, 1), (ik, -1), (ki, 1)):
+                push(sym, exp)
         elif n == 2:
-            builder.lead(NEG)  # central, so it may lead
+            push(NEG, 1)
+            letters.insert(0, letters.pop())  # central, so it may lead
         else:
-            builder.extend(jrange_expand(i + 1, k + 1, n).letters)
-    return builder.word()
+            for sym, exp in jrange_expand(i + 1, k + 1, n).letters:
+                push(sym, exp)
+    # every exponent is a nonzero int and every symbol the library's own
+    return GeneratorWord._trusted(n, tuple(letters))
 
 
 def _verified(word: GeneratorWord, a: IntMatrix, kind: str) -> GeneratorWord:

@@ -21,7 +21,6 @@ from spheremat.words import (
     P,
     TAU,
     WordLengthError,
-    _Builder,
     congruence_generators,
     conjugate_rewrite,
     decompose_gamma2,
@@ -149,20 +148,6 @@ def test_is_congruence_word():
     assert not is_congruence_word(GeneratorWord(3, ((E(1, 2), 1),)))
     assert not is_congruence_word(GeneratorWord(3, ((TAU, 1),)))
     assert is_congruence_word(GeneratorWord(2, ((NEG, 1),)))
-
-
-def test_builder_merges_and_caps(monkeypatch):
-    b = _Builder(2)
-    b.push(E(1, 2), 2)
-    b.push(E(1, 2), 2)
-    b.push(E(1, 2), -4)
-    assert b.word().letters == ()
-    monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 2)
-    small = _Builder(3)
-    small.push(E(1, 2), 2)
-    small.push(E(2, 1), 2)
-    with pytest.raises(WordLengthError):
-        small.push(E(1, 3), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +580,18 @@ def test_elimination_words_equal_validated_construction():
             assert type(letter) is tuple and type(exp) is int and exp != 0
             assert type(sym) is GeneratorSymbol
             if sym.kind == "E":
-                assert sym is E(sym.i, sym.j)
+                i, j, n = sym.i, sym.j, word.n
+                assert sym is words_module._e_symbols(n)[(i - 1) * n + j - 1]
+                assert sym == E(i, j)
+
+
+def test_elimination_leaves_cached_e_letters_in_place():
+    # the elimination's per-n letters are built apart from `E`, so even a
+    # dimension with more E letters than `E` caches evicts none of them
+    words_module._e_symbols.cache_clear()
+    e12 = E(1, 2)
+    assert decompose_sln(IntMatrix.identity(40)).letters == ()
+    assert E(1, 2) is e12
 
 
 def test_letter_cap_outcomes_are_frozen(monkeypatch):

@@ -6,7 +6,7 @@ Builds the workload's inputs for the seed with perfbench's `workloads`
 (read, never changed) and runs two passes of its operations with the
 garbage collector off, as perfbench's passes do. The first pass is not
 profiled: it fills the library's caches (parsed word tokens, identity
-columns, E letters), so the profiled second pass sees the warm state that
+rows, E letters), so the profiled second pass sees the warm state that
 perfbench's medians are taken in, not the cold first pass, which overstates
 `parse_word`. The profiler runs only inside the calls into spheremat, so
 the benchmark's own output checks stay out of the figures. Prints each
