@@ -34,6 +34,7 @@ _LAZY = {
         "MembershipCheck",
         "NotInGroupError",
         "coset_certificate",
+        "coset_representatives",
         "count_hR_even",
         "hR_member",
         "in_W2",
@@ -42,7 +43,7 @@ _LAZY = {
         "k_to_class",
         "mod2_class",
         "pre_dot",
-        "random_sln",
+        "representative_matrix",
     ),
     "words": (
         "E",
@@ -63,6 +64,7 @@ _LAZY = {
         "jrange_expand",
         "parse_word",
         "random_congruence_word",
+        "random_sln",
         "rewrite_table_audit",
         "symbol_matrix",
         "word_to_matrix",
@@ -78,17 +80,13 @@ _LAZY = {
     "finitegrp": (
         "FiniteGroupTable",
         "GroupSizeLimitError",
-        "IndexCheckReport",
         "conjugacy_classes",
-        "coset_representatives",
         "elementary_generators_mod",
         "enumerate_group",
         "find_normality_violation",
-        "index_check",
         "is_normal",
         "normal_subgroups",
         "power_subgroup",
-        "representative_matrix",
         "sl_order",
     ),
     "spheres": (

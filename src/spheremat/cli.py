@@ -240,8 +240,6 @@ def _cmd_normality(args: argparse.Namespace) -> tuple:
     group = enumerate_group(group_gens, args.n, args.mod, max_size=args.max_size)
     sub_gens = _read_residues(args.subgroup, args) if args.subgroup else group_gens
     if args.power is not None:
-        if args.power < 1:
-            raise ValueError("--power must be positive")
         sub = power_subgroup(group, sub_gens, args.power, max_size=args.max_size)
     else:
         sub = enumerate_group(sub_gens, args.n, args.mod, max_size=args.max_size)

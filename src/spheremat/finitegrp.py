@@ -46,28 +46,22 @@ first `conjugacy_classes` call on the table, which `normal_subgroups` and
 `power_subgroup` read. On SL_3(Z_4) the classes keep ~60 B per element for
 as long as the table lives; the first call peaks at ~136 B per element
 (tracemalloc).
+
+Of the package, this module imports only `intmat` (and `_record`): it knows
+matrices over Z_m, not words, permutations or cosets. The level-2 coset
+structure is `subgroups`' to check.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 from collections.abc import Set
 from itertools import islice, repeat
 from typing import Iterable, Optional, Sequence
 
 from ._record import record
-from .intmat import (
-    DEFAULT_MAX_SIZE,
-    GroupSizeLimitError,
-    ResidueMatrix,
-    elementary_matrix,
-    tau_matrix,
-)
-from .permutation import Permutation
-# coset_representatives and representative_matrix are re-exported from here
-from .subgroups import coset_representatives, in_W2, mod2_class, representative_matrix
+from .intmat import DEFAULT_MAX_SIZE, GroupSizeLimitError, ResidueMatrix, elementary_matrix
 
 _Rows = tuple[tuple[int, ...], ...]
 _Tables = list[tuple[dict[int, int], int]]  # see `_Conjugation.tables`
@@ -549,71 +543,3 @@ def _sl_order_prime_power(n: int, p: int, e: int) -> int:
     for i in range(2, n + 1):
         over_field *= p**i - 1
     return p ** ((e - 1) * (n * n - 1)) * over_field
-
-
-@record
-class IndexCheckReport:
-    """Outcome of the coset bookkeeping check in one dimension."""
-
-    n: int
-    image_order: int
-    expected_order: int
-    representatives: int
-    representatives_in_group: bool
-    mod2_images_distinct: bool
-    samples_covered: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.image_order == self.expected_order
-            and self.representatives == self.expected_order
-            and self.representatives_in_group
-            and self.mod2_images_distinct
-            and self.samples_covered
-        )
-
-
-def index_check(n: int, samples: int = 25, seed: int = 2024) -> IndexCheckReport:
-    """Verify the index-n! coset structure of the even-products group at level 2.
-
-    Enumerates the mod-2 image of the group from generator images, builds
-    one integer representative per permutation class, and checks random
-    group samples always land on a representative's class.
-    """
-    if n not in (2, 3, 4):
-        raise ValueError("index check supports n in {2, 3, 4}")
-    gen_images = [tau_matrix(n).reduce_mod(2)]
-    if n >= 3:
-        for start in range(1, n - 1):
-            cyc = Permutation.from_cycles(n, [(start, start + 1, start + 2)])
-            gen_images.append(cyc.matrix().reduce_mod(2))
-    image = enumerate_group(gen_images, n, 2)
-
-    reps = coset_representatives(n)
-    rep_mats = [representative_matrix(uses_tau, sigma) for uses_tau, sigma in reps]
-    all_in = all(in_W2(mat) for mat in rep_mats)
-    mod2_images = {mat.reduce_mod(2) for mat in rep_mats}
-    distinct = len(mod2_images) == len(rep_mats) and mod2_images == image.elements
-
-    from .words import random_congruence_word
-
-    rng = random.Random(seed)
-    covered = True
-    for _ in range(samples):
-        uses_tau, sigma = reps[rng.randrange(len(reps))]
-        gamma = random_congruence_word(n, rng, max_letters=12).matrix()
-        sample = representative_matrix(uses_tau, sigma) * gamma
-        reduced = sample.reduce_mod(2)
-        if not in_W2(sample) or reduced not in mod2_images or mod2_class(sample) is None:
-            covered = False
-            break
-    return IndexCheckReport(
-        n=n,
-        image_order=image.order,
-        expected_order=math.factorial(n),
-        representatives=len(rep_mats),
-        representatives_in_group=all_in,
-        mod2_images_distinct=distinct,
-        samples_covered=covered,
-    )

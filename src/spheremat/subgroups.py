@@ -23,13 +23,16 @@ matrix, written row by row from `_representative_entries`. So the residual
 R^T * a of a coset certificate is a signed row permutation of `a`, formed
 without a product; `CosetCertificate.verify` still checks the residual's
 determinant and residue and re-multiplies R * residual == a on every call.
+
+Of the package, this module imports `intmat` and `permutation` only, at the
+top; `words` and `obstruction` import it. Random SL_n(Z) elements
+(`random_sln`) come from `words`, whose evaluator builds them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from typing import Iterator, Optional, Sequence
 
 from ._record import record
@@ -275,23 +278,3 @@ def count_hR_even(n: int) -> int:
         raise ValueError("n must be at least 1")
     return (2 ** n) * math.factorial(n)
 
-
-def random_sln(n: int, rng: random.Random, min_letters: int = 20, max_letters: int = 50) -> IntMatrix:
-    """Random element of SL_n(Z): a product of 20..50 uniform elementary matrices.
-
-    The letters E(i,j)^+-1 are drawn first and then evaluated by the word
-    evaluator, at O(n) per letter. Pass a seeded random.Random for
-    reproducibility.
-    """
-    from .words import E, _word_rows  # words imports this module
-
-    if n < 2:
-        return IntMatrix.identity(max(n, 1))
-    letters = []
-    for _ in range(rng.randint(min_letters, max_letters)):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        letters.append((E(i + 1, j + 1), rng.choice((1, -1))))
-    return IntMatrix._trusted(_word_rows(n, letters))

@@ -47,6 +47,11 @@ place. One function, `_table_rewrite`, decides each case's family and
 word; the family index is the position in `_CASE_FAMILIES`, and
 `rewrite_table_audit` checks every case and counts each family's cases in
 that order.
+
+Of the package, this module imports `intmat`, `permutation` and
+`subgroups`, all at the top; no exact-core module imports it. `random_sln`
+lives here, with the `E` letters it draws and the evaluator that
+multiplies them.
 """
 
 from __future__ import annotations
@@ -675,3 +680,22 @@ def random_congruence_word(
             exp = -exp
         letters.append((sym, exp))
     return GeneratorWord(n, tuple(letters))
+
+
+def random_sln(n: int, rng: random.Random, min_letters: int = 20, max_letters: int = 50) -> IntMatrix:
+    """Random element of SL_n(Z): a product of 20..50 uniform elementary matrices.
+
+    The letters E(i,j)^+-1 are drawn first and then evaluated by the word
+    evaluator, at O(n) per letter. Pass a seeded random.Random for
+    reproducibility.
+    """
+    if n < 2:
+        return IntMatrix.identity(max(n, 1))
+    letters = []
+    for _ in range(rng.randint(min_letters, max_letters)):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        letters.append((E(i + 1, j + 1), rng.choice((1, -1))))
+    return IntMatrix._trusted(_word_rows(n, letters))

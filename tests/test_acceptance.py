@@ -15,7 +15,6 @@ import numpy as np
 from spheremat.finitegrp import (
     elementary_generators_mod,
     enumerate_group,
-    index_check,
     is_normal,
     normal_subgroups,
     power_subgroup,
@@ -23,6 +22,7 @@ from spheremat.finitegrp import (
 )
 from spheremat.intmat import IntMatrix, hyperbolic_check, tau_matrix
 from spheremat.obstruction import classify
+from spheremat.permutation import Permutation
 from spheremat.spheres import (
     induced_matrix_on_torus,
     p_a_torus_map,
@@ -31,13 +31,20 @@ from spheremat.spheres import (
     quaternion,
     quaternion_collision_witness,
 )
-from spheremat.subgroups import count_hR_even, random_sln
+from spheremat.subgroups import (
+    coset_certificate,
+    coset_representatives,
+    count_hR_even,
+    in_W2,
+    representative_matrix,
+)
 from spheremat.words import (
     GeneratorWord,
     congruence_generators,
     decompose_gamma2,
     decompose_gamma_n,
     random_congruence_word,
+    random_sln,
     rewrite_table_audit,
 )
 
@@ -49,13 +56,27 @@ def _report(num: int, detail: str) -> None:
 def test_criterion_1_coset_index():
     start = time.monotonic()
     for n in (2, 3, 4):
-        report = index_check(n)
-        assert report.image_order == math.factorial(n)
-        assert report.representatives == math.factorial(n)
-        assert report.mod2_images_distinct
-        assert report.representatives_in_group
-        assert report.samples_covered
-        assert report.passed
+        # the mod-2 image of the even-products group, from tau and the 3-cycles
+        gen_images = [tau_matrix(n).reduce_mod(2)] + [
+            Permutation.from_cycles(n, [(s, s + 1, s + 2)]).matrix().reduce_mod(2)
+            for s in range(1, n - 1)
+        ]
+        image = enumerate_group(gen_images, n, 2)
+        assert image.order == math.factorial(n)
+        reps = coset_representatives(n)
+        mats = [representative_matrix(uses_tau, sigma) for uses_tau, sigma in reps]
+        assert len(mats) == math.factorial(n)
+        assert all(in_W2(mat) for mat in mats)
+        images = {mat.reduce_mod(2) for mat in mats}
+        assert len(images) == len(mats) and images == image.elements
+        # rep * gamma, gamma in the level-2 congruence subgroup, is certified
+        # in that rep's own coset
+        rng = random.Random(2024)
+        for _ in range(25):
+            rep = reps[rng.randrange(len(reps))]
+            gamma = random_congruence_word(n, rng, max_letters=12).matrix()
+            cert = coset_certificate(representative_matrix(*rep) * gamma)
+            assert (cert.uses_tau, cert.sigma) == rep
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     _report(1, f"index n! and distinct coset images for n=2,3,4 in {elapsed:.2f}s")

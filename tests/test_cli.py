@@ -469,6 +469,15 @@ def test_normality_needs_subgroup_or_power():
     assert main(["normality", "-n", "2", "-m", "3"]) == 2
 
 
+@pytest.mark.parametrize("power", ["0", "-3"])
+def test_normality_power_rule_is_the_librarys(capsys, power):
+    # `finitegrp.power_subgroup` is the one site of the rule; the CLI prints its text
+    assert main(["normality", "-n", "2", "-m", "3", "--power", power]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: power must be positive\n"
+
+
 # ---------------------------------------------------------------------------
 # sphere commands
 # ---------------------------------------------------------------------------
@@ -863,7 +872,8 @@ def test_other_subcommands_are_frozen(capsys, write_matrix):
     # digest of exit code, stdout and stderr of 29 calls over the eight
     # subcommands the verdict digest leaves out, as the CLI gave them when
     # each handler still wrote its own output, with every measurement at
-    # the default resolution and step
+    # the default resolution and step; the one record re-pinned since is
+    # `--power 0`, which prints `power_subgroup`'s text
     files = {
         "upper": write_matrix([[1, 1], [0, 1]]),
         "lower": write_matrix([[1, 0], [1, 1]]),
@@ -881,7 +891,7 @@ def test_other_subcommands_are_frozen(capsys, write_matrix):
     assert len(records) == 29
     assert set(code for _, code in codes) == {0, 1, 2}
     digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
-    assert digest == "a7273074691aacf9074a592a1d5a3a917c24f13fae55d99edfdc708b86eb91e2"
+    assert digest == "94ebf65578caa298a0cfcb528c288966fc0256daa067ad6f1d7b18b3ddf65bd6"
 
 
 def _run_stdin(argv, a):

@@ -14,19 +14,16 @@ from spheremat.finitegrp import (
     FiniteGroupTable,
     GroupSizeLimitError,
     conjugacy_classes,
-    coset_representatives,
     elementary_generators_mod,
     enumerate_group,
     find_normality_violation,
-    index_check,
     is_normal,
     normal_subgroups,
     power_subgroup,
-    representative_matrix,
     sl_order,
 )
 from spheremat.intmat import IntMatrix, ResidueMatrix, tau_matrix
-from spheremat.subgroups import in_W2
+from spheremat.subgroups import coset_representatives, in_W2, representative_matrix
 from spheremat.words import GeneratorWord, congruence_generators
 
 
@@ -743,18 +740,6 @@ def test_coset_representatives_all_dimensions():
         mats = [representative_matrix(uses_tau, sigma) for uses_tau, sigma in reps]
         assert all(in_W2(m) for m in mats)
         assert len({m.reduce_mod(2) for m in mats}) == len(mats)
-
-
-def test_index_check_passes():
-    for n in (2, 3, 4):
-        report = index_check(n)
-        assert report.passed
-        assert report.image_order == report.expected_order
-
-
-def test_index_check_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        index_check(5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -25,8 +26,8 @@ def run_python(code, stdin=""):
 # package imported its exact modules eagerly
 PACKAGE_DIR = [
     "AlgebraElement", "CollisionWitness", "CosetCertificate", "E", "FiniteGroupTable",
-    "GeneratorSymbol", "GeneratorWord", "GroupSizeLimitError", "IndexCheckReport",
-    "IntMatrix", "J", "JR", "K_CLASSES", "K_EVEN", "K_HOPF", "K_ODD", "LedgerEntry",
+    "GeneratorSymbol", "GeneratorWord", "GroupSizeLimitError", "IntMatrix",
+    "J", "JR", "K_CLASSES", "K_EVEN", "K_HOPF", "K_ODD", "LedgerEntry",
     "LedgerResult", "MatrixFormatError", "MembershipCheck", "NEG", "NotInGroupError",
     "ObstructionReport", "ObstructionVerdict", "P", "Permutation",
     "PhaseAmbiguityError", "ResidueMatrix", "TAU", "WordLengthError", "_LAZY",
@@ -39,7 +40,7 @@ PACKAGE_DIR = [
     "degree_estimate_details", "elementary_generators_mod", "elementary_matrix",
     "enumerate_group", "find_normality_violation", "finitegrp", "format_matrix",
     "hR_member", "hyperbolic_check", "importlib", "in_W2", "in_congruence",
-    "index_check", "induced_matrix_on_torus", "intmat", "is_congruence_word",
+    "induced_matrix_on_torus", "intmat", "is_congruence_word",
     "is_normal", "is_signed_permutation", "jrange_expand", "k_to_class", "ledger",
     "mod2_class", "normal_subgroups", "obstruction", "octonion_unit", "p_a_eval",
     "p_a_torus_map", "p_ij_eval", "p_word_torus_map", "parse_matrices", "parse_matrix",
@@ -97,12 +98,14 @@ EXACT_SKIPS = ["dataclasses", "spheremat.words", "spheremat.finitegrp", "numpy"]
         ),
         pytest.param(
             ["enumerate", "-n", "2", "-m", "3"],
-            ["dataclasses", "spheremat.words", "spheremat.obstruction", "numpy"],
+            ["dataclasses", "spheremat.words", "spheremat.subgroups", "spheremat.permutation",
+             "spheremat.obstruction", "numpy"],
             id="enumerate",
         ),
         pytest.param(
             ["normality", "-n", "2", "-m", "4", "--power", "2"],
-            ["dataclasses", "spheremat.words", "spheremat.obstruction", "numpy"],
+            ["dataclasses", "spheremat.words", "spheremat.subgroups", "spheremat.permutation",
+             "spheremat.obstruction", "numpy"],
             id="normality",
         ),
     ],
@@ -117,6 +120,37 @@ def test_subcommand_loads_only_its_layers(argv, absent):
     proc = run_python(code, stdin=UNIT_W2)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n"
+
+
+# the exact core's imports run one way: intmat -> permutation -> subgroups
+# -> words, and intmat -> finitegrp; each module names its layers at the top
+EXACT_CORE_IMPORTS = {
+    "intmat": set(),
+    "permutation": {"_record", "intmat"},
+    "subgroups": {"_record", "intmat", "permutation"},
+    "words": {"_record", "intmat", "permutation", "subgroups"},
+    "finitegrp": {"_record", "intmat"},
+    "obstruction": {"_record", "intmat", "subgroups"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXACT_CORE_IMPORTS))
+def test_exact_core_imports_run_one_way(module):
+    tree = ast.parse(Path(SRC, "spheremat", f"{module}.py").read_text())
+    in_functions = [
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert in_functions == []
+    layers = {
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert layers == EXACT_CORE_IMPORTS[module]
 
 
 def test_exact_path_leaves_numpy_unloaded():

@@ -451,8 +451,7 @@ def test_library_built_matrices_equal_validated_construction(pair, unimodular, n
     import numpy as np
 
     from spheremat.permutation import Permutation
-    from spheremat.subgroups import random_sln
-    from spheremat.words import E, TAU, GeneratorSymbol, GeneratorWord, symbol_matrix
+    from spheremat.words import E, TAU, GeneratorSymbol, GeneratorWord, random_sln, symbol_matrix
 
     a, b = (IntMatrix(rows) for rows in pair)
     u = IntMatrix([[np.int64(x) if abs(x) < 2**62 else x for x in row] for row in unimodular])

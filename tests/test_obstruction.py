@@ -18,8 +18,8 @@ from spheremat.subgroups import (
     in_W2,
     is_signed_permutation,
     mod2_class,
-    random_sln,
 )
+from spheremat.words import random_sln
 
 
 def brute_minor(a, j, l, s, t):

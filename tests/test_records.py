@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from spheremat.finitegrp import FiniteGroupTable, IndexCheckReport
+from spheremat.finitegrp import FiniteGroupTable
 from spheremat.intmat import IntMatrix, ResidueMatrix
 from spheremat.ledger import LedgerEntry, LedgerResult
 from spheremat.obstruction import ObstructionReport, ObstructionVerdict
@@ -79,14 +79,6 @@ RECORDS = [
          ("elements", _NO_DEFAULT)],
         (2, 3, (_I3,), frozenset({_I3})),
         (2, 3, (), frozenset({_I3})),
-    ),
-    (
-        IndexCheckReport,
-        [("n", _NO_DEFAULT), ("image_order", _NO_DEFAULT), ("expected_order", _NO_DEFAULT),
-         ("representatives", _NO_DEFAULT), ("representatives_in_group", _NO_DEFAULT),
-         ("mod2_images_distinct", _NO_DEFAULT), ("samples_covered", _NO_DEFAULT)],
-        (3, 6, 6, 6, True, True, True),
-        (3, 6, 6, 6, True, False, True),
     ),
     (
         CollisionWitness,

@@ -34,8 +34,7 @@ from spheremat.spheres import (
     tangent_frame,
     uniform_sphere_samples,
 )
-from spheremat.subgroups import random_sln
-from spheremat.words import E, GeneratorWord, J, decompose_sln, symbol_matrix
+from spheremat.words import E, GeneratorWord, J, decompose_sln, random_sln, symbol_matrix
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 

@@ -24,10 +24,9 @@ from spheremat.subgroups import (
     k_to_class,
     mod2_class,
     pre_dot,
-    random_sln,
     representative_matrix,
 )
-from spheremat.words import random_congruence_word
+from spheremat.words import random_congruence_word, random_sln
 
 
 def test_pre_dot_examples():

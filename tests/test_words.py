@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from spheremat.intmat import IntMatrix, elementary_matrix
 from spheremat.permutation import Permutation
-from spheremat.subgroups import in_congruence, random_sln
+from spheremat.subgroups import in_congruence
 import spheremat.words as words_module
 from spheremat.cli import main
 from spheremat.words import (
@@ -30,6 +30,7 @@ from spheremat.words import (
     jrange_expand,
     parse_word,
     random_congruence_word,
+    random_sln,
     rewrite_table_audit,
     symbol_matrix,
     word_to_matrix,
