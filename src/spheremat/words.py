@@ -64,7 +64,7 @@ from typing import Iterable, Optional
 from ._record import record
 from .intmat import IntMatrix, WordLengthError, _identity_rows
 from .permutation import Permutation
-from .subgroups import NotInGroupError, in_congruence
+from .subgroups import NotInGroupError, _congruence_failure
 
 WORD_LETTER_CAP = 10**6
 
@@ -441,14 +441,14 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
     pivot by the entry (a zero pivot, possible only with step 1, takes the
     entry's row). With step 2 this needs a = I mod 2: the diagonal then
     stays odd and the off-diagonal entries even, so every centered remainder
-    is strict. On any other input it need not end, and on [[2,1],[1,1]] it
-    spins without a letter, so the cap does not stop it either; the step-2
-    callers test congruence first.
+    is strict and every multiple nonzero. Other input may spin without a
+    letter, as [[2,1],[1,1]] does, so with step 2 the engine first refuses
+    it with NotInGroupError and `_congruence_failure`'s text.
 
     Row additions keep the determinant, so once the entries below the
     diagonal are cleared, det(a) is the product of the diagonal. Unless it
-    is 1 the elimination stops there with NotInGroupError("matrix must have
-    determinant 1"); otherwise every pivot is +-1 and those above the
+    is 1 the elimination stops there with NotInGroupError("determinant is
+    d, need 1"); otherwise every pivot is +-1 and those above the
     diagonal clear each entry in one step. The -1 entries of D pair up: as
     NEG at the front in dimension 2, as `jrange_expand` flips in congruence
     words of dimension >= 3, and as a squared quarter turn in elementary
@@ -456,18 +456,27 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
 
     Every letter goes through one `push`: on the last letter's symbol it
     adds its exponent there and drops the pair at sum zero, else it is
-    appended and the cap checked, so the cap bounds the merged word. E
+    appended and the cap checked, so the cap bounds the merged word; a cap
+    that trips refuses det(a) != 1 first, so no cap changes a refusal. E
     symbols all come from `_e_symbols(n)`, so `is` decides equality; no J
     flip equals the letter before it.
     """
+    if step == 2:
+        failure = _congruence_failure(a, 2)
+        if failure:
+            raise NotInGroupError(failure)
     n = a.n
     m = [list(row) for row in a.rows]  # distinct rows, each its own list
     syms = _e_symbols(n)
     cap = WORD_LETTER_CAP  # looked up per call, not at import
     letters: list[Letter] = []
 
+    def refuse(det: int) -> None:
+        if det != 1:
+            raise NotInGroupError(f"determinant is {det}, need 1")
+
     def push(sym: GeneratorSymbol, exp: int) -> None:
-        # exp is never 0: the lower phase skips t = 0, the upper tests t
+        # exp is never 0: the gate keeps the lower phase's t nonzero, the upper tests t
         if letters and letters[-1][0] is sym:
             merged = letters[-1][1] + exp
             if merged:
@@ -477,6 +486,7 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
         else:
             letters.append((sym, exp))
             if len(letters) > cap:
+                refuse(a.det())
                 raise WordLengthError(f"word exceeded {cap} letters")
 
     # Each step adds t times row `src` to row `dst` and pushes the inverse
@@ -500,14 +510,11 @@ def _eliminate(a: IntMatrix, step: int) -> GeneratorWord:
                         d = abs(step * x)
                         q = (2 * pivot + d) // (2 * d)
                         t = -step * (q if x > 0 else -q)
-                        if not t:  # only off the congruence: the loop spins
-                            continue
                         dst, src, sym = top, row, syms[c * n + r]
                 for k in range(c, n):
                     dst[k] += t * src[k]
                 push(sym, -t)
-    if math.prod(m[c][c] for c in range(n)) != 1:
-        raise NotInGroupError("matrix must have determinant 1")
+    refuse(math.prod(m[c][c] for c in range(n)))
     for c in range(1, n):
         src = m[c]
         pivot = src[c]
@@ -547,12 +554,13 @@ def decompose_gamma2(a: IntMatrix) -> GeneratorWord:
 
     Row elimination with even multiples (see `_eliminate`); a -1 diagonal
     left at the end becomes one NEG at the front of the word. The word is
-    verified by exact re-multiplication before it is returned.
+    verified by exact re-multiplication before it is returned. Raises
+    ValueError("this decomposition is for 2x2 matrices") for n != 2, and
+    NotInGroupError("determinant is d, need 1" or "not congruent to the
+    identity mod 2") off the subgroup.
     """
     if a.n != 2:
         raise ValueError("this decomposition is for 2x2 matrices")
-    if not in_congruence(a, 2):
-        raise NotInGroupError("matrix is not in the level-2 congruence subgroup")
     return _verified(_eliminate(a, 2), a, "dimension-2")
 
 
@@ -562,12 +570,12 @@ def decompose_gamma_n(a: IntMatrix) -> GeneratorWord:
     Row elimination with even multiples (see `_eliminate`); pairs of -1
     diagonal entries left at the end become products of consecutive J
     flips. The word is verified by exact re-multiplication before it is
-    returned.
+    returned. Raises ValueError("this decomposition is for n >= 3") for
+    n < 3, and NotInGroupError("determinant is d, need 1" or "not congruent
+    to the identity mod 2") off the subgroup.
     """
     if a.n < 3:
-        raise ValueError("use decompose_gamma2 for dimension 2")
-    if not in_congruence(a, 2):
-        raise NotInGroupError("matrix is not in the level-2 congruence subgroup")
+        raise ValueError("this decomposition is for n >= 3")
     return _verified(_eliminate(a, 2), a, "congruence")
 
 
@@ -575,20 +583,11 @@ def decompose_sln(a: IntMatrix) -> GeneratorWord:
     """Write any determinant-one matrix as a product of elementary letters.
 
     Row elimination with integer multiples (see `_eliminate`); pairs of -1
-    diagonal entries left at the end become squared quarter turns. The
-    elimination reads the determinant off its diagonal and refuses a matrix
-    whose determinant is not 1. Should the letter cap stop it first, the
-    determinant is taken with `a.det()`, so that such a matrix is refused as
-    such whatever the cap. The word is verified by exact re-multiplication
-    before it is returned.
+    diagonal entries left at the end become squared quarter turns. The word
+    is verified by exact re-multiplication before it is returned. Raises
+    NotInGroupError("determinant is d, need 1") for det(a) = d != 1.
     """
-    try:
-        word = _eliminate(a, 1)
-    except WordLengthError:
-        if a.det() != 1:
-            raise NotInGroupError("matrix must have determinant 1") from None
-        raise
-    return _verified(word, a, "elementary")
+    return _verified(_eliminate(a, 1), a, "elementary")
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +627,11 @@ def _parse_symbol(base: str, n: int) -> GeneratorSymbol:
     if base == "NEG":
         return NEG
     if base.startswith("E(") and base.endswith(")"):
-        i, j = _parse_index_pair(base[2:-1])
-        return E(i, j)
+        return E(*_parse_index_pair(base, base[2:-1]))
     if base.startswith("JR(") and base.endswith(")"):
-        i, j = _parse_index_pair(base[3:-1])
-        return JR(i, j)
+        return JR(*_parse_index_pair(base, base[3:-1]))
     if base.startswith("J(") and base.endswith(")"):
-        return J(int(base[2:-1]))
+        return J(*_parse_ints(base, "index", [base[2:-1]]))
     if base.startswith("P[") and base.endswith("]"):
         body = base[2:-1]
         cycles = []
@@ -642,16 +639,24 @@ def _parse_symbol(base: str, n: int) -> GeneratorSymbol:
             chunk = chunk.strip("(")
             if not chunk:
                 continue
-            cycles.append(tuple(int(x) for x in chunk.split(",") if x))
+            cycles.append(_parse_ints(base, "cycle point", [x for x in chunk.split(",") if x]))
         return P(Permutation.from_cycles(n, cycles))
     raise ValueError(f"unrecognized token {base!r}")
 
 
-def _parse_index_pair(body: str) -> tuple[int, int]:
+def _parse_index_pair(base: str, body: str) -> tuple[int, ...]:
     parts = body.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected two indices in {body!r}")
-    return int(parts[0]), int(parts[1])
+    return _parse_ints(base, "index", parts)
+
+
+def _parse_ints(base: str, what: str, texts: list[str]) -> tuple[int, ...]:
+    """`texts` as ints; one that is not an integer raises ValueError naming the token."""
+    try:
+        return tuple(int(x) for x in texts)
+    except ValueError as exc:
+        raise ValueError(f"bad {what} in token {base!r}") from exc
 
 
 def congruence_generators(n: int) -> list[Letter]:

@@ -22,6 +22,7 @@ from spheremat.cli import main
 from spheremat.finitegrp import GroupSizeLimitError
 from spheremat.intmat import IntMatrix, elementary_matrix, format_matrix, tau_matrix
 from spheremat.obstruction import classify
+from spheremat.subgroups import NotInGroupError
 from spheremat.words import WordLengthError
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -338,8 +339,9 @@ def test_decompose_wrong_word_is_verification_failure(
     ids=["auto-n2", "auto-n3", "gamma2", "gamman"],
 )
 def test_decompose_tests_congruence_at_most(capsys, monkeypatch, write_matrix, rows, target, most):
-    # the auto choice and the decomposition's own guard; no separate CLI gate
+    # the auto choice and the engine's own gate; no separate CLI gate
     import spheremat.subgroups as subgroups
+    import spheremat.words as words
 
     calls = []
     failure = subgroups._congruence_failure
@@ -349,9 +351,53 @@ def test_decompose_tests_congruence_at_most(capsys, monkeypatch, write_matrix, r
         return failure(a, m)
 
     monkeypatch.setattr(subgroups, "_congruence_failure", counted)
+    monkeypatch.setattr(words, "_congruence_failure", counted)
     code, payload = run_json(capsys, ["decompose", write_matrix(rows), "--target", target])
     assert code == 0 and payload["member"] is True
     assert 1 <= len(calls) <= most
+
+
+_DET_240 = [[7, 3, 5], [2, 9, 4], [6, 1, 8]]
+
+
+@pytest.mark.parametrize(
+    "target, rows, cap",
+    [
+        ("gamma2", [[1]], None),
+        ("gamma2", IntMatrix.identity(3).rows, None),
+        ("gamman", [[1]], None),
+        ("gamman", IntMatrix.identity(2).rows, None),
+        *((target, [[-1, 0], [0, 1]], None) for target in ("auto", "gamma2", "sln")),
+        *((target, IntMatrix.diagonal([-1, 1, 1]).rows, None)
+          for target in ("auto", "gamman", "sln")),
+        ("gamma2", [[2, 1], [1, 1]], None),
+        ("gamman", [[2, 1, 0], [1, 1, 0], [0, 0, 1]], None),
+        *((target, _DET_240, 3) for target in ("auto", "gamman", "sln")),
+    ],
+    ids=["gamma2-n1", "gamma2-n3", "gamman-n1", "gamman-n2",
+         "auto-det-1-n2", "gamma2-det-1", "sln-det-1-n2",
+         "auto-det-1-n3", "gamman-det-1", "sln-det-1-n3",
+         "gamma2-not-1-mod-2", "gamman-not-1-mod-2",
+         "auto-det-240-cap-3", "gamman-det-240-cap-3", "sln-det-240-cap-3"],
+)
+def test_decompose_prints_the_librarys_refusal(capsys, monkeypatch, write_matrix, target, rows, cap):
+    # `auto` sends every input off the level-2 subgroup to `sln`
+    import spheremat.words as words
+
+    if cap is not None:
+        monkeypatch.setattr(words, "WORD_LETTER_CAP", cap)
+    library = {"auto": words.decompose_sln, "gamma2": words.decompose_gamma2,
+               "gamman": words.decompose_gamma_n, "sln": words.decompose_sln}[target]
+    with pytest.raises(ValueError) as refusal:
+        library(IntMatrix(rows))
+    code = main(["decompose", write_matrix(rows), "--target", target])
+    captured = capsys.readouterr()
+    if refusal.type is NotInGroupError:
+        assert code == 1 and captured.err == ""
+        assert json.loads(captured.out)["reason"] == str(refusal.value)
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {refusal.value}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +852,9 @@ def _verdict_argvs(path):
 def test_cli_verdicts_are_frozen(capsys, write_matrix):
     # digest of exit code, stdout and stderr of 928 calls, reason strings
     # included, as the CLI gave them before the verdicts shared one scan;
-    # every call runs the default checks
+    # every call runs the default checks. Re-pinned once since, for the
+    # stderr of the 60 decompose calls whose dimension the target refuses:
+    # they print the library's text
     records = []
     codes = Counter()
     for a in _verdict_matrices():
@@ -821,7 +869,7 @@ def test_cli_verdicts_are_frozen(capsys, write_matrix):
     assert all(codes[cmd, code] for cmd in ("member", "coset") for code in (0, 1))
     assert all(codes[cmd, code] for cmd in ("decompose", "obstruction") for code in (0, 1, 2))
     digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
-    assert digest == "d1975b1aaff9a0a4d68ebdbd67c648d4807faa5d5083307bfc75d78f56e48c34"
+    assert digest == "13001da56fdf88453892f69e8541642c1575b4891a788e4d6d14178664bc6ea9"
 
 
 def _other_argvs(files):

@@ -23,7 +23,6 @@ from spheremat.finitegrp import (
     sl_order,
 )
 from spheremat.intmat import IntMatrix, ResidueMatrix, tau_matrix
-from spheremat.subgroups import coset_representatives, in_W2, representative_matrix
 from spheremat.words import GeneratorWord, congruence_generators
 
 
@@ -727,19 +726,6 @@ def test_dimino_groups_and_enlarging_positions_are_frozen():
     assert [len(o[2]) for o in out[:10]] == [sl_order(n, m) for _, n, m in cases[:10]]
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == "6b4419ca166d171c0573ef65d3d6d0b6452a945c8a2fa0eac782577a6a9d481d"
-
-
-# ---------------------------------------------------------------------------
-# coset bookkeeping
-# ---------------------------------------------------------------------------
-
-def test_coset_representatives_all_dimensions():
-    for n in (2, 3, 4):
-        reps = coset_representatives(n)
-        assert len(reps) == len(list(itertools.permutations(range(n))))
-        mats = [representative_matrix(uses_tau, sigma) for uses_tau, sigma in reps]
-        assert all(in_W2(m) for m in mats)
-        assert len({m.reduce_mod(2) for m in mats}) == len(mats)
 
 
 # ---------------------------------------------------------------------------

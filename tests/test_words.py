@@ -1,7 +1,12 @@
 import hashlib
+import os
 import random
+import re
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -142,6 +147,22 @@ def test_parse_word_reuses_symbols_and_never_caches_an_error():
             parse_word("P[(2,3,4)]", 3)
         with pytest.raises(ValueError, match="^unrecognized token 'Q\\(1,2\\)'$"):
             parse_word("Q(1,2)", 2)
+
+
+@pytest.mark.parametrize(
+    "token, what",
+    [("E(1,x)", "index"), ("JR(x,2)", "index"), ("J(x)", "index"), ("P[(1,x)]", "cycle point")],
+)
+def test_a_bad_index_names_its_token(capsys, token, what):
+    text = f"bad {what} in token {token!r}"
+    cached = words_module._parse_symbol.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            parse_word(f"{token}^2", 2)
+    assert words_module._parse_symbol.cache_info().currsize == cached
+    assert main(["induced", "--n", "2", "--word", token]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {text}\n")
 
 
 def test_is_congruence_word():
@@ -524,19 +545,36 @@ def test_letter_cap_cannot_change_a_refusal(monkeypatch):
     # a refused input is refused with its own text whatever the cap, and a
     # member too long for the cap still raises WordLengthError
     monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 3)
-    with pytest.raises(NotInGroupError, match="^matrix must have determinant 1$"):
-        decompose_sln(IntMatrix([[7, 3, 5], [2, 9, 4], [6, 1, 8]]))  # det 240
+    with pytest.raises(NotInGroupError, match="^determinant is 240, need 1$"):
+        decompose_sln(IntMatrix([[7, 3, 5], [2, 9, 4], [6, 1, 8]]))
     k = 1000
     monkeypatch.setattr(words_module, "WORD_LETTER_CAP", 100)
     outsider = IntMatrix([[2 * k + 1, 2 * k, 0], [2 * k + 2, 2 * k + 3, 0], [0, 0, 1]])
     assert outsider.det() == 4 * k + 3
-    with pytest.raises(
-        NotInGroupError, match="^matrix is not in the level-2 congruence subgroup$"
-    ):
+    with pytest.raises(NotInGroupError, match="^determinant is 4003, need 1$"):
         decompose_gamma_n(outsider)
     member = IntMatrix([[2 * k + 1, 2 * k, 0], [2 * k + 2, 2 * k + 1, 0], [0, 0, 1]])
     with pytest.raises(WordLengthError, match="^word exceeded 100 letters$"):
         decompose_gamma_n(member)
+
+
+def test_step_2_elimination_refuses_input_off_the_subgroup_itself():
+    # without its own gate the engine spins on this input without a letter,
+    # so it runs in a child interpreter that a timeout stops
+    src = str(Path(words_module.__file__).resolve().parent.parent)
+    code = (
+        "from spheremat.intmat import IntMatrix\n"
+        "from spheremat.subgroups import NotInGroupError\n"
+        "from spheremat.words import _eliminate\n"
+        "try:\n"
+        "    _eliminate(IntMatrix([[2, 1], [1, 1]]), 2)\n"
+        "except NotInGroupError as exc:\n"
+        "    print(exc)\n"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=5, env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stdout) == (0, "not congruent to the identity mod 2\n")
 
 
 def test_letter_cap_counts_the_leading_neg(monkeypatch):
@@ -662,8 +700,9 @@ def small_square_matrices(draw):
 @given(small_square_matrices())
 def test_sln_refuses_exactly_when_the_determinant_is_not_one(rows):
     a = IntMatrix(rows)
-    if _fraction_det(rows) != 1:
-        with pytest.raises(NotInGroupError, match="^matrix must have determinant 1$"):
+    det = _fraction_det(rows)
+    if det != 1:
+        with pytest.raises(NotInGroupError, match=f"^determinant is {det}, need 1$"):
             decompose_sln(a)
     else:
         assert _dense_word(decompose_sln(a)) == a

@@ -12,7 +12,9 @@ medians, their interquartile ranges, the change of the median and in how
 many pairs the change was better, then every pair with the passes each run
 made: the exact workload's peak RSS grows with its pass count. With
 `--json` the result goes under the workload's name into that file, which is
-created if missing and must otherwise name the same two commits.
+created if missing and must otherwise name the same two commits. A run of a
+workload the file already holds is appended to that entry's `reruns` list,
+so the file keeps every run and the first one's keys stay where they were.
 
 Exits 1 if a run fails or reports `correct: false`. Reads `perfbench/` in
 the copies and changes nothing in the checkout. Standard library only; not
@@ -137,7 +139,11 @@ def save(path: Path, shas: dict, workload: str, entry: dict) -> None:
         raise SystemExit(f"{path} holds other commits: {data.get('base')} vs {data.get('change')}")
     data.update(shas)
     data.setdefault("machine", {"python": platform.python_version(), "nproc": os.cpu_count()})
-    data.setdefault("workloads", {})[workload] = entry
+    workloads = data.setdefault("workloads", {})
+    if workload in workloads:
+        workloads[workload].setdefault("reruns", []).append(entry)
+    else:
+        workloads[workload] = entry
     path.write_text(json.dumps(data, indent=1) + "\n")
 
 
