@@ -33,9 +33,13 @@ _LAZY = {
         "K_ODD",
         "MembershipCheck",
         "NotInGroupError",
+        "ObstructionReport",
+        "ObstructionVerdict",
+        "classify",
         "coset_certificate",
         "coset_representatives",
         "count_hR_even",
+        "cross_consistency",
         "hR_member",
         "in_W2",
         "in_congruence",
@@ -44,6 +48,7 @@ _LAZY = {
         "mod2_class",
         "pre_dot",
         "representative_matrix",
+        "whitehead_coeffs",
     ),
     "words": (
         "E",
@@ -69,13 +74,6 @@ _LAZY = {
         "symbol_matrix",
         "word_to_matrix",
         "word_to_str",
-    ),
-    "obstruction": (
-        "ObstructionReport",
-        "ObstructionVerdict",
-        "classify",
-        "cross_consistency",
-        "whitehead_coeffs",
     ),
     "finitegrp": (
         "FiniteGroupTable",

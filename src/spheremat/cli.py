@@ -181,7 +181,7 @@ def _cmd_verify_identities(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_obstruction(args: argparse.Namespace) -> tuple:
-    from .obstruction import classify, cross_consistency, whitehead_coeffs
+    from .subgroups import classify, cross_consistency, whitehead_coeffs
 
     a = _read_matrix(args.matrix)
     k_class = _resolve_k_class(args)

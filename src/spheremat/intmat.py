@@ -357,8 +357,9 @@ def hyperbolic_check(a: IntMatrix) -> bool:
     """
     if a.n != 2:
         raise ValueError("hyperbolicity test is for 2x2 matrices")
-    if a.det() != 1:
-        raise ValueError("input must have determinant 1")
+    det = a.det()
+    if det != 1:
+        raise ValueError(f"determinant is {det}, need 1")
     return abs(a.trace()) > 2
 
 

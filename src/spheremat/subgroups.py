@@ -1,4 +1,4 @@
-"""Membership tests and coset certificates for arithmetic matrix groups.
+"""Membership tests, coset certificates and realizability verdicts.
 
 Three nested groups appear throughout:
 
@@ -8,15 +8,28 @@ Three nested groups appear throughout:
   rows have componentwise-even products (equivalently: matrices that reduce
   mod 2 to a permutation matrix);
 * GL_n(Z) filtered by which sphere dimension the matrix should be realized
-  on (`hR_member`).
+  on (`hR_member`, `classify`).
 
-Each verdict has one home. `_row_pair_violations` is the one scan of the
-commutator rule in `obstruction`: `_w2_failure` (hence `in_W2`), `hR_member`
-and `obstruction.classify` read it; `is_signed_permutation` is only the
-reference the even-k verdict is tested against. `_congruence_failure`
-decides `in_congruence`. The two `_failure` helpers name the first failing
-witness. `_class_representative` is the one coset-representative rule, read
-by `coset_certificate` and `coset_representatives`.
+The last is the commutator obstruction. A self-map of the n-fold product of
+k-spheres with induced matrix A must kill the image of every basic
+commutator. Expanding f_*[i_j, i_l] by bilinearity leaves cross terms with
+coefficients a_js a_lt - a_jt a_ls (the 2x2 minors of the row pair) and
+diagonal terms with coefficients a_js a_ls on the self-commutators. Cross
+terms always vanish; the diagonal ones live in a group that depends on k:
+
+* k in {1, 3, 7}: the self-commutator is zero, no constraint;
+* other odd k:    it has order two, so every a_js a_ls must be even;
+* even k:         it has infinite order, so every a_js a_ls must vanish:
+                  a unimodular matrix passes iff it is a signed permutation.
+
+Each verdict has one home, and each `_failure` helper names its first
+failing witness. `_row_pair_violations` is the one scan of the commutator
+rule, read by `_w2_failure` (hence `in_W2`), `hR_member` and `classify`;
+`_unimodular_failure` is the det = +-1 rule of `hR_member` and `classify`;
+`_congruence_failure` decides `in_congruence`. `is_signed_permutation` is
+only the reference the even-k verdict is tested against.
+`_class_representative` is the one coset-representative rule, read by
+`coset_certificate` and `coset_representatives`.
 
 A representative (tau if used, else I) * P_sigma is a signed permutation
 matrix, written row by row from `_representative_entries`. So the residual
@@ -25,8 +38,7 @@ without a product; `CosetCertificate.verify` still checks the residual's
 determinant and residue and re-multiplies R * residual == a on every call.
 
 Of the package, this module imports `intmat` and `permutation` only, at the
-top; `words` and `obstruction` import it. Random SL_n(Z) elements
-(`random_sln`) come from `words`, whose evaluator builds them.
+top; `words` imports it, and builds the random SL_n(Z) elements.
 """
 
 from __future__ import annotations
@@ -76,7 +88,7 @@ def in_congruence(a: IntMatrix, m: int) -> bool:
 def _row_pair_violations(a: IntMatrix, k_class: str) -> Iterator[tuple[tuple[int, int], int]]:
     """Lazily yield ((j, l), s), 1-based, for each a_js * a_ls that obstructs `a`.
 
-    The rule of `obstruction`: no constraint for k in {1, 3, 7}, an odd
+    The module's commutator rule: no constraint for k in {1, 3, 7}, an odd
     coefficient for other odd k, a nonzero one for even k. Triples come
     ordered by j < l, then s. Each row's column mask is formed when the
     pairs first reach that row, so an early witness leaves later rows unread.
@@ -241,27 +253,85 @@ class MembershipCheck:
     reason: str
 
 
+def _unimodular_failure(a: IntMatrix) -> Optional[str]:
+    """Why det(a) is not +-1, or None."""
+    det = a.det()
+    return None if det in (1, -1) else f"determinant {det} is not +-1"
+
+
 def hR_member(a: IntMatrix, k_class: str) -> MembershipCheck:
     """Can `a` be induced by a self-map of an n-fold product of k-spheres?
 
-    The answer depends only on which of three classes k falls in:
-    `hopf` (k in {1,3,7}), `odd_generic` (other odd k), `even`.
+    `k_class` is `hopf` (k in {1,3,7}), `odd_generic` (other odd k) or `even`.
     """
     if k_class == K_EVEN:
-        if next(_row_pair_violations(a, K_EVEN), None) is None and a.det() in (1, -1):
+        if next(_row_pair_violations(a, K_EVEN), None) is None and not _unimodular_failure(a):
             return MembershipCheck(True, "signed permutation matrix")
         return MembershipCheck(False, "not a signed permutation matrix")
     if k_class not in (K_HOPF, K_ODD):
         raise ValueError(f"unknown k class {k_class!r}")
-    det = a.det()
-    if det not in (1, -1):
-        return MembershipCheck(False, f"determinant {det} is not +-1")
+    if failure := _unimodular_failure(a):
+        return MembershipCheck(False, failure)
     if k_class == K_HOPF:
         return MembershipCheck(True, "determinant is +-1")
     # with an odd determinant, no odd pair product means a permutation mod 2
     if next(_row_pair_violations(a, K_ODD), None) is not None:
         return MembershipCheck(False, "mod-2 reduction is not a permutation matrix")
     return MembershipCheck(True, "unimodular and a permutation matrix mod 2")
+
+
+@record
+class ObstructionReport:
+    """Expansion coefficients for one row pair (j, l), 1-based indices."""
+
+    n: int
+    pair: tuple[int, int]
+    cross: dict[tuple[int, int], int]
+    diag: tuple[int, ...]
+
+
+def whitehead_coeffs(a: IntMatrix, j: int, l: int) -> ObstructionReport:
+    """Cross and diagonal coefficients of the commutator expansion for rows j, l."""
+    n = a.n
+    if not (1 <= j <= n and 1 <= l <= n) or j == l:
+        raise ValueError(f"need two distinct row indices in 1..{n}, got ({j},{l})")
+    rj, rl = a.rows[j - 1], a.rows[l - 1]
+    cross = {
+        (s, t): rj[s - 1] * rl[t - 1] - rj[t - 1] * rl[s - 1]
+        for s in range(1, n + 1)
+        for t in range(s + 1, n + 1)
+    }
+    diag = tuple(rj[s] * rl[s] for s in range(n))
+    return ObstructionReport(n=n, pair=(j, l), cross=cross, diag=diag)
+
+
+def cross_consistency(a: IntMatrix, j: int, l: int) -> bool:
+    """Check the cross coefficients against independently computed 2x2 minors."""
+    cross = whitehead_coeffs(a, j, l).cross  # validates j and l
+    rj, rl = a.rows[j - 1], a.rows[l - 1]
+    return all(
+        IntMatrix(((rj[s - 1], rj[t - 1]), (rl[s - 1], rl[t - 1]))).det() == value
+        for (s, t), value in cross.items()
+    )
+
+
+@record
+class ObstructionVerdict:
+    k_class: str
+    realizable: bool
+    violations: tuple[tuple[tuple[int, int], int], ...]
+    """Violations are ((j, l), s) pairs naming the offending diagonal coefficient."""
+
+
+def classify(a: IntMatrix, k_class: str) -> ObstructionVerdict:
+    """Obstruction verdict for a unimodular `a`: every violation, in scan order."""
+    if k_class not in K_CLASSES:
+        raise ValueError(f"unknown k class {k_class!r}")
+    if failure := _unimodular_failure(a):
+        raise ValueError(failure)
+    # a list first: tuple(generator) reallocates as it grows, fragmenting the heap
+    violations = list(_row_pair_violations(a, k_class))
+    return ObstructionVerdict(k_class, not violations, tuple(violations))
 
 
 def k_to_class(k: int) -> str:

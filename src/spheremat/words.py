@@ -108,7 +108,8 @@ class GeneratorSymbol:
         return base if exponent == 1 else f"{base}^{exponent}"
 
 
-@functools.lru_cache(maxsize=1024)  # the decompositions ask for each E(i,j) many times
+# reused by parsed tokens, rewrite tables, their audit, congruence_generators, random_sln
+@functools.lru_cache(maxsize=1024)
 def E(i: int, j: int) -> GeneratorSymbol:
     return GeneratorSymbol("E", i, j)
 

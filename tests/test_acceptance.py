@@ -21,7 +21,6 @@ from spheremat.finitegrp import (
     sl_order,
 )
 from spheremat.intmat import IntMatrix, hyperbolic_check, tau_matrix
-from spheremat.obstruction import classify
 from spheremat.permutation import Permutation
 from spheremat.spheres import (
     induced_matrix_on_torus,
@@ -32,6 +31,7 @@ from spheremat.spheres import (
     quaternion_collision_witness,
 )
 from spheremat.subgroups import (
+    classify,
     coset_certificate,
     coset_representatives,
     count_hR_even,

@@ -21,8 +21,7 @@ import spheremat
 from spheremat.cli import main
 from spheremat.finitegrp import GroupSizeLimitError
 from spheremat.intmat import IntMatrix, elementary_matrix, format_matrix, tau_matrix
-from spheremat.obstruction import classify
-from spheremat.subgroups import NotInGroupError
+from spheremat.subgroups import NotInGroupError, classify
 from spheremat.words import WordLengthError
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -447,13 +446,13 @@ def test_obstruction_coefficients_payload(capsys, write_matrix):
 def test_obstruction_cross_check_failure_is_verification_failure(
     capsys, monkeypatch, write_matrix, k_class, status
 ):
-    import spheremat.obstruction as obstruction
+    import spheremat.subgroups as subgroups
 
     path = write_matrix([[1, 2], [0, 1]])
     # while the check passes, the verdict sets the exit code
     code, payload = run_json(capsys, ["obstruction", path, "--k-class", k_class])
     assert code == status and payload["realizable"] is (status == 0)
-    monkeypatch.setattr(obstruction, "cross_consistency", lambda a, j, l: False)
+    monkeypatch.setattr(subgroups, "cross_consistency", lambda a, j, l: False)
     assert main(["obstruction", path, "--k-class", k_class]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -711,6 +710,18 @@ def test_hyperbolic(capsys, write_matrix):
     assert code == 1 and payload["hyperbolic"] is False
 
 
+def test_hyperbolic_words_the_determinant_rule_as_member_does(capsys, write_matrix):
+    # det != 1 reads as in `member` and `decompose`, the exact core's text
+    path = write_matrix([[3, 0], [0, 1]])
+    assert main(["hyperbolic", path]) == 2
+    hyperbolic = capsys.readouterr()
+    assert main(["member", path]) == 1
+    member = json.loads(capsys.readouterr().out)
+    assert hyperbolic.out == ""
+    assert hyperbolic.err == "error: determinant is 3, need 1\n"
+    assert member["reason"] == "determinant is 3, need 1"
+
+
 def test_ledger_all_green(capsys):
     code, payload = run_json(capsys, ["ledger"])
     assert code == 0
@@ -725,7 +736,7 @@ def test_ledger_all_green(capsys):
 FAULT_SITES = [
     (["member", "M"], "spheremat.subgroups._w2_failure"),
     (["coset", "M"], "spheremat.subgroups.coset_certificate"),
-    (["obstruction", "M", "--k", "2"], "spheremat.obstruction.classify"),
+    (["obstruction", "M", "--k", "2"], "spheremat.subgroups.classify"),
     (["hyperbolic", "M"], "spheremat.cli.hyperbolic_check"),
     (["verify-identities"], "spheremat.words.rewrite_table_audit"),
     (["enumerate", "-n", "2", "-m", "3"], "spheremat.finitegrp.enumerate_group"),
@@ -852,9 +863,10 @@ def _verdict_argvs(path):
 def test_cli_verdicts_are_frozen(capsys, write_matrix):
     # digest of exit code, stdout and stderr of 928 calls, reason strings
     # included, as the CLI gave them before the verdicts shared one scan;
-    # every call runs the default checks. Re-pinned once since, for the
-    # stderr of the 60 decompose calls whose dimension the target refuses:
-    # they print the library's text
+    # every call runs the default checks. Re-pinned twice since, each time
+    # for stderr only: the 60 decompose calls whose dimension the target
+    # refuses print the library's text, and the 32 obstruction calls on
+    # non-unimodular input print `member --group hr`'s `determinant d is not +-1`
     records = []
     codes = Counter()
     for a in _verdict_matrices():
@@ -869,7 +881,7 @@ def test_cli_verdicts_are_frozen(capsys, write_matrix):
     assert all(codes[cmd, code] for cmd in ("member", "coset") for code in (0, 1))
     assert all(codes[cmd, code] for cmd in ("decompose", "obstruction") for code in (0, 1, 2))
     digest = hashlib.sha256("\x00".join(records).encode()).hexdigest()
-    assert digest == "13001da56fdf88453892f69e8541642c1575b4891a788e4d6d14178664bc6ea9"
+    assert digest == "2a7f4c824d5fde84956a085b63b89d8d575f28662c82a1d8a476366d215aa1f5"
 
 
 def _other_argvs(files):

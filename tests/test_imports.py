@@ -42,7 +42,7 @@ PACKAGE_DIR = [
     "hR_member", "hyperbolic_check", "importlib", "in_W2", "in_congruence",
     "induced_matrix_on_torus", "intmat", "is_congruence_word",
     "is_normal", "is_signed_permutation", "jrange_expand", "k_to_class", "ledger",
-    "mod2_class", "normal_subgroups", "obstruction", "octonion_unit", "p_a_eval",
+    "mod2_class", "normal_subgroups", "octonion_unit", "p_a_eval",
     "p_a_torus_map", "p_ij_eval", "p_word_torus_map", "parse_matrices", "parse_matrix",
     "parse_word", "permutation", "power_subgroup", "pre_dot", "psi_eval", "psi_map",
     "quaternion", "quaternion_collision_witness", "random_congruence_word",
@@ -81,12 +81,12 @@ EXACT_SKIPS = ["dataclasses", "spheremat.words", "spheremat.finitegrp", "numpy"]
         pytest.param(["hyperbolic", "-"], EXACT_SKIPS, id="hyperbolic"),
         pytest.param(
             ["verify-identities", "-n", "3"],
-            ["dataclasses", "spheremat.finitegrp", "spheremat.obstruction", "numpy"],
+            ["dataclasses", "spheremat.finitegrp", "numpy"],
             id="verify-identities",
         ),
         pytest.param(
             ["decompose", "-"],
-            ["dataclasses", "spheremat.finitegrp", "spheremat.obstruction", "numpy"],
+            ["dataclasses", "spheremat.finitegrp", "numpy"],
             id="decompose",
         ),
         # `spheres` names `GeneratorWord` in an annotation only
@@ -99,13 +99,13 @@ EXACT_SKIPS = ["dataclasses", "spheremat.words", "spheremat.finitegrp", "numpy"]
         pytest.param(
             ["enumerate", "-n", "2", "-m", "3"],
             ["dataclasses", "spheremat.words", "spheremat.subgroups", "spheremat.permutation",
-             "spheremat.obstruction", "numpy"],
+             "numpy"],
             id="enumerate",
         ),
         pytest.param(
             ["normality", "-n", "2", "-m", "4", "--power", "2"],
             ["dataclasses", "spheremat.words", "spheremat.subgroups", "spheremat.permutation",
-             "spheremat.obstruction", "numpy"],
+             "numpy"],
             id="normality",
         ),
     ],
@@ -130,7 +130,6 @@ EXACT_CORE_IMPORTS = {
     "subgroups": {"_record", "intmat", "permutation"},
     "words": {"_record", "intmat", "permutation", "subgroups"},
     "finitegrp": {"_record", "intmat"},
-    "obstruction": {"_record", "intmat", "subgroups"},
 }
 
 

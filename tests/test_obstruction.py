@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spheremat.intmat import IntMatrix, elementary_matrix, tau_matrix
-from spheremat.obstruction import (
-    classify,
-    cross_consistency,
-    whitehead_coeffs,
-)
 from spheremat.subgroups import (
     K_EVEN,
     K_HOPF,
     K_ODD,
+    classify,
+    cross_consistency,
     hR_member,
     in_W2,
     is_signed_permutation,
     mod2_class,
+    whitehead_coeffs,
 )
 from spheremat.words import random_sln
 
@@ -107,6 +105,19 @@ def test_classify_rejects_bad_input():
         classify(IntMatrix([[2, 0], [0, 1]]), K_ODD)
     with pytest.raises(ValueError):
         classify(IntMatrix.identity(2), "k=5")
+
+
+def test_non_unimodular_input_gets_one_text():
+    # both realizability verdicts word det != +-1 alike: classify raises
+    # the reason hR_member gives
+    for rows in ([[2, 0], [0, 1]], [[0, 0], [0, 0]], [[1, 2, 0], [3, 4, 0], [0, 0, 5]]):
+        a = IntMatrix(rows)
+        for k_class in (K_HOPF, K_ODD):
+            reason = hR_member(a, k_class).reason
+            assert reason == f"determinant {a.det()} is not +-1"
+            with pytest.raises(ValueError) as info:
+                classify(a, k_class)
+            assert str(info.value) == reason
 
 
 def test_odd_class_matches_mod2_permutation():

@@ -13,10 +13,14 @@ import pytest
 from spheremat.finitegrp import FiniteGroupTable
 from spheremat.intmat import IntMatrix, ResidueMatrix
 from spheremat.ledger import LedgerEntry, LedgerResult
-from spheremat.obstruction import ObstructionReport, ObstructionVerdict
 from spheremat.permutation import Permutation
 from spheremat.spheres import CollisionWitness, quaternion
-from spheremat.subgroups import CosetCertificate, MembershipCheck
+from spheremat.subgroups import (
+    CosetCertificate,
+    MembershipCheck,
+    ObstructionReport,
+    ObstructionVerdict,
+)
 from spheremat.words import E, TAU, GeneratorSymbol, GeneratorWord, J, RewriteCaseReport
 
 _NO_DEFAULT = object()

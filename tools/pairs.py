@@ -15,6 +15,8 @@ made: the exact workload's peak RSS grows with its pass count. With
 created if missing and must otherwise name the same two commits. A run of a
 workload the file already holds is appended to that entry's `reruns` list,
 so the file keeps every run and the first one's keys stay where they were.
+The file is written before the report is printed, and a reader that closes
+early (`| head`) ends the report quietly.
 
 Exits 1 if a run fails or reports `correct: false`. Reads `perfbench/` in
 the copies and changes nothing in the checkout. Standard library only; not
@@ -175,10 +177,14 @@ def main(argv=None) -> int:
                 pair[side] = bench(copies[side], args.workload, seed, args.seconds)
             pairs.append(pair)
     summary = summarize(pairs, catalogue)
-    report(args.workload, shas, args.seconds, pairs, summary)
-    if args.json:
+    if args.json:  # first, so that a reader that stops early loses nothing
         save(args.json, shas, args.workload,
              {"seconds": args.seconds, "summary": summary, "pairs": pairs})
+    try:
+        report(args.workload, shas, args.seconds, pairs, summary)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     bad = [(p["seed"], side) for p in pairs for side in SIDES if not p[side]["correct"]]
     if bad:
         print(f"runs not correct (seed, side): {bad}", file=sys.stderr)

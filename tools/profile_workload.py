@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import os
 import pstats
 import sys
 import time
@@ -94,13 +95,18 @@ def main(argv=None) -> int:
     failed = run_pass(work, calls)
 
     total = sum(calls.seconds.values())
-    print(f"{args.workload} seed {args.seed}: {len(work.ops)} operations, {failed} failed, "
-          f"{total:.3f} s in library calls (profiled)")
-    for name, seconds in sorted(calls.seconds.items(), key=lambda kv: -kv[1]):
-        print(f"  {name:45s} {calls.calls[name]:6d} calls {seconds:9.4f} s {seconds / total:6.1%}")
-    print()
-    stats = pstats.Stats(calls.profile, stream=sys.stdout)
-    stats.strip_dirs().sort_stats("tottime").print_stats(TOP)
+    try:
+        print(f"{args.workload} seed {args.seed}: {len(work.ops)} operations, {failed} failed, "
+              f"{total:.3f} s in library calls (profiled)")
+        for name, seconds in sorted(calls.seconds.items(), key=lambda kv: -kv[1]):
+            print(f"  {name:45s} {calls.calls[name]:6d} calls {seconds:9.4f} s "
+                  f"{seconds / total:6.1%}")
+        print()
+        stats = pstats.Stats(calls.profile, stream=sys.stdout)
+        stats.strip_dirs().sort_stats("tottime").print_stats(TOP)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
