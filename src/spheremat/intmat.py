@@ -9,8 +9,9 @@ Every constructor a caller reaches validates its rows (`_square_rows`).
 itself formed a nonempty square tuple of int tuples from plain ints: the
 products, transposes, negations, identities and unimodular inverses here,
 `tau_matrix`, `Permutation.matrix`, the coset representatives and residuals
-(`representative_matrix`, `coset_certificate`), and the word evaluator's
-results (`GeneratorWord.matrix`, `symbol_matrix`, `random_sln`).
+(`representative_matrix`, `coset_certificate`), the word evaluator's
+results (`GeneratorWord.matrix`, `symbol_matrix`, `random_sln`) and the
+measured windings of `spheres.induced_matrix_on_torus`.
 """
 
 from __future__ import annotations

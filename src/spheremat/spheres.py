@@ -20,12 +20,17 @@ Householder tangent frames with a fixed orientation convention, so the
 identity map comes out at +1. `induced_matrix_on_torus` recovers the
 integer matrix a self-map of (S^1)^n induces on first homology by
 accumulating phase along basis loops: one map call per loop, then one
-vectorized check of all n image coordinates. `p_a_torus_map` multiplies
-square-and-multiply powers of coordinates, with no array of ones.
+vectorized check of all n image coordinates, which names the first one that
+vanishes or is not finite. The sample circle of a resolution up to 2^16 is
+formed once and shared read-only. `p_a_torus_map` forms each distinct
+square-and-multiply power of a coordinate once per call, with no array of
+ones, and returns one contiguous row per image coordinate, so the check
+takes its rows without a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -43,10 +48,17 @@ UNIT_TOL = 1e-9
 # anything is allocated.
 _MAX_MEASUREMENT_BYTES = 2**30
 
-# Peak traced memory of a winding measurement of a monomial map is 88-128 B
-# per sample and image coordinate (tracemalloc, resolution 2^16, n = 1..6),
-# and the n x n result lists and tuples take 16 B per entry.
+# Peak traced memory of a winding measurement of a monomial map is 75-112 B
+# per sample and image coordinate (tracemalloc, resolutions 2^14 and 2^16,
+# n = 1..6, entries up to 3000 and R/5 in absolute value, the sample circle
+# formed in the call), and the n x n result lists and tuples take 16 B per
+# entry.
 _WINDING_BYTES_PER_SAMPLE = 128
+
+# Windings keep the sample circles of the last four resolutions up to this
+# one, 16 B per sample (1 MiB each at the bound); a larger circle is formed
+# per call, so none that the memory cap admits outlives its measurement.
+_CACHED_CIRCLE_STEPS = 2**16
 
 # Degree estimates form tangent frames, difference quotients and Jacobians
 # over blocks of this many samples. Peak traced memory on S^k (tracemalloc,
@@ -387,6 +399,19 @@ def degree_estimate_details(
 # torus winding
 # ---------------------------------------------------------------------------
 
+def _circle(resolution: int) -> np.ndarray:
+    """The R + 1 samples exp(2 pi i t / R), t = 0..R, of the basis loops."""
+    return np.exp(1j * np.linspace(0.0, 2.0 * np.pi, resolution + 1))
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _cached_circle(resolution: int) -> np.ndarray:
+    """`_circle`, formed once and read-only: every caller shares it."""
+    circle = _circle(resolution)
+    circle.flags.writeable = False
+    return circle
+
+
 def induced_matrix_on_torus(
     map_fn: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -408,38 +433,53 @@ def induced_matrix_on_torus(
         (resolution + 1) * n * _WINDING_BYTES_PER_SAMPLE + 16 * n * n,
         "resolution {} at n = {}", resolution, n,
     )
-    circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, resolution + 1))
+    if resolution <= _CACHED_CIRCLE_STEPS:
+        circle = _cached_circle(resolution)
+    else:
+        circle = _circle(resolution)
     rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        z = np.ones((resolution + 1, n), dtype=complex)
-        z[:, j] = circle
-        w = np.asarray(map_fn(z), dtype=complex)
-        if w.shape != z.shape:
-            raise ValueError("torus map must preserve the point-tuple shape")
-        # one row per image coordinate; rows are checked in order, and only
-        # those before the first vanished one are divided
-        wt = np.ascontiguousarray(w.T)
-        vanished = np.flatnonzero((np.abs(wt) < 1e-12).any(axis=1))
-        live = int(vanished[0]) if vanished.size else n
-        steps = np.angle(wt[:live, 1:] / wt[:live, :-1])
-        jumps = np.abs(steps).max(axis=1)
-        sums = steps.sum(axis=1)  # the last axis is contiguous: pairwise, as a 1-D sum
-        for s in range(live):
-            if float(jumps[s]) > np.pi / 2:
-                raise PhaseAmbiguityError(
-                    f"phase jump too close to pi on loop {j + 1}, coordinate {s + 1}; "
-                    "raise the resolution"
+    # the image is judged below, coordinate by coordinate, so numpy's
+    # warnings on non-finite or vanishing values would only repeat it
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            z = np.ones((resolution + 1, n), dtype=complex)
+            z[:, j] = circle
+            w = np.asarray(map_fn(z), dtype=complex)
+            if w.shape != z.shape:
+                raise ValueError("torus map must preserve the point-tuple shape")
+            # one row per image coordinate; rows are checked in order, and
+            # only those before the first one that vanishes or is not finite
+            # somewhere are divided (min and max keep a NaN)
+            wt = np.ascontiguousarray(w.T)
+            mags = np.abs(wt)
+            lows, highs = mags.min(axis=1).tolist(), mags.max(axis=1).tolist()
+            live = 0
+            while live < n and lows[live] >= 1e-12 and highs[live] < math.inf:
+                live += 1
+            steps = np.angle(wt[:live, 1:] / wt[:live, :-1])
+            jumps = np.abs(steps).max(axis=1)
+            sums = steps.sum(axis=1)  # the last axis is contiguous: pairwise, as a 1-D sum
+            for s in range(live):
+                if float(jumps[s]) > np.pi / 2:
+                    raise PhaseAmbiguityError(
+                        f"phase jump too close to pi on loop {j + 1}, coordinate {s + 1}; "
+                        "raise the resolution"
+                    )
+                winding = float(sums[s]) / (2.0 * np.pi)
+                nearest = round(winding)
+                if abs(winding - nearest) > 0.01:
+                    raise PhaseAmbiguityError(
+                        f"winding {winding:.6f} is not close to an integer"
+                    )
+                rows[s][j] = int(nearest)
+            if live < n:
+                if lows[live] < 1e-12:
+                    raise ValueError("image coordinate vanished; winding undefined")
+                raise ValueError(
+                    f"image coordinate {live + 1} is not finite on loop {j + 1}; "
+                    "winding undefined"
                 )
-            winding = float(sums[s]) / (2.0 * np.pi)
-            nearest = round(winding)
-            if abs(winding - nearest) > 0.01:
-                raise PhaseAmbiguityError(
-                    f"winding {winding:.6f} is not close to an integer"
-                )
-            rows[s][j] = int(nearest)
-        if live < n:
-            raise ValueError("image coordinate vanished; winding undefined")
-    return IntMatrix(rows)
+    return IntMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def _require_float_range(value: int, what: str, *where: object) -> None:
@@ -452,22 +492,34 @@ def _require_float_range(value: int, what: str, *where: object) -> None:
 
 
 def p_a_torus_map(a: IntMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized complex twin of p_a_eval, for winding measurements."""
+    """Vectorized complex twin of p_a_eval, for winding measurements.
+
+    Each call forms a column's reciprocal at most once and each distinct
+    power in a column once, and multiplies it into every row that uses it.
+    Columns go left to right, so each row is the same product, bit for bit,
+    as its own left-to-right product, and only the current column's powers
+    are kept. The result is a transposed view of one contiguous row per
+    image coordinate.
+    """
     for r, row in enumerate(a.rows, 1):
         for c, e in enumerate(row, 1):
             _require_float_range(e, "matrix entry ({}, {})", r, c)
 
     def apply(z: np.ndarray) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)
-        out = np.empty_like(zz)
-        for s, row in enumerate(a.rows):
-            acc = None
-            for col, e in enumerate(row):
-                if e:
-                    base = zz[..., col] if e > 0 else 1.0 / zz[..., col]
-                    power = _square_and_multiply(base, abs(e))
-                    acc = power if acc is None else acc * power
-            out[..., s] = 1.0 if acc is None else acc
+        acc = [None] * a.n
+        for c in range(a.n):
+            x, inv, powers = zz[..., c], None, {}
+            for s, row in enumerate(a.rows):
+                if e := row[c]:
+                    if (power := powers.get(e)) is None:
+                        if e < 0 and inv is None:
+                            inv = 1.0 / x
+                        power = powers[e] = _square_and_multiply(x if e > 0 else inv, abs(e))
+                    acc[s] = power if acc[s] is None else acc[s] * power
+        out = np.empty(zz.shape[::-1], dtype=complex).T
+        for s, product in enumerate(acc):
+            out[..., s] = 1.0 if product is None else product
         return out
 
     return apply

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spheremat import spheres
-from spheremat.intmat import IntMatrix, elementary_matrix
+from spheremat.intmat import IntMatrix, _square_and_multiply, elementary_matrix
 from spheremat.spheres import (
     AlgebraElement,
     CollisionWitness,
@@ -567,6 +567,36 @@ def test_earlier_coordinate_error_takes_precedence():
             induced_matrix_on_torus(jump_then_zero, 2)
 
 
+def _one_infinite_sample(z):
+    # the steps around one infinite sample can be finite: only the sample
+    # itself gives it away
+    out = np.array(z, dtype=complex)
+    out[500, 0] = complex(np.inf, 1.0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "fn, n, coordinate, loop",
+    [
+        (lambda z: z * np.nan, 1, 1, 1),
+        (lambda z: z * np.inf, 1, 1, 1),
+        (_one_infinite_sample, 1, 1, 1),
+        # z^(10^30) overflows to NaN on some samples and underflows to 0 on others
+        (p_a_torus_map(IntMatrix([[10**30]])), 1, 1, 1),
+        (p_a_torus_map(IntMatrix([[1, 0], [0, 10**30]])), 2, 2, 2),
+    ],
+    ids=["nan", "inf", "one-inf-sample", "overflow", "overflow-second-loop"],
+)
+def test_non_finite_image_is_named_without_warnings(fn, n, coordinate, loop):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError,
+            match=rf"^image coordinate {coordinate} is not finite on loop {loop}; winding undefined$",
+        ):
+            induced_matrix_on_torus(fn, n)
+
+
 def test_induced_refuses_resolutions_past_the_memory_cap():
     def never_called(z):
         raise AssertionError("the map ran")
@@ -579,6 +609,89 @@ def test_induced_refuses_resolutions_past_the_memory_cap():
     # one past the largest resolution allowed on two circles, 2^22 - 2
     with pytest.raises(ValueError, match="over the cap"):
         induced_matrix_on_torus(never_called, 2, resolution=2**22 - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_winding_memory_estimate_bounds_the_traced_peak(n):
+    resolution = 2**12
+    rng = random.Random(n)
+    matrices = [
+        [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)],
+        [[rng.choice((1, -1)) * rng.randint(1, resolution // 5) for _ in range(n)] for _ in range(n)],
+        [[-3] * n for _ in range(n)],
+        [[1 if i == j else 0 for j in range(n)] for i in range(n)],
+    ]
+    for rows in matrices:
+        peak = _traced_peak(induced_matrix_on_torus, p_a_torus_map(IntMatrix(rows)), n, resolution)
+        assert peak <= (resolution + 1) * n * spheres._WINDING_BYTES_PER_SAMPLE + 16 * n * n
+
+
+def _per_entry_torus_map(a):
+    """The monomial map as one left-to-right product per row, each power
+    formed where its entry is met: the reference for `p_a_torus_map`."""
+
+    def apply(z):
+        zz = np.asarray(z, dtype=complex)
+        out = np.empty_like(zz)
+        for s, row in enumerate(a.rows):
+            acc = None
+            for col, e in enumerate(row):
+                if e:
+                    base = zz[..., col] if e > 0 else 1.0 / zz[..., col]
+                    power = _square_and_multiply(base, abs(e))
+                    acc = power if acc is None else acc * power
+            out[..., s] = 1.0 if acc is None else acc
+        return out
+
+    return apply
+
+
+def test_p_a_torus_map_agrees_bitwise_with_the_per_entry_product():
+    rng = random.Random(3434)
+    points = np.random.default_rng(3434)
+    for n in range(1, 7):
+        for t in range(12):
+            pool = (0, 0, 2, -2, rng.randint(-3, 3), rng.randint(-3000, 3000))
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            column = rng.randrange(n)
+            for row in rows:  # one column with repeated exponents of both signs
+                row[column] = rng.choice((2, -2, 3000))
+            if t % 3 == 0:
+                rows[rng.randrange(n)] = [0] * n
+            a = IntMatrix(rows)
+            inputs = [np.exp(1j * points.uniform(0.0, 2.0 * np.pi, shape)) for shape in ((700, n), (1, n), (n,))]
+            for j in range(n):  # the winding loops' own inputs
+                z = np.ones((1025, n), dtype=complex)
+                z[:, j] = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1025))
+                inputs.append(z)
+            for z in inputs:
+                got, want = p_a_torus_map(a)(z), _per_entry_torus_map(a)(z)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (rows, z.shape)
+
+
+def test_sample_circle_cache_is_safe():
+    circle = spheres._cached_circle(1024)
+    assert not circle.flags.writeable
+    with pytest.raises(ValueError):
+        circle[0] = 0.0
+
+    def square_in_place(z):
+        z **= 2
+        return z
+
+    first = induced_matrix_on_torus(square_in_place, 2)
+    assert first == IntMatrix.diagonal([2, 2])
+    assert induced_matrix_on_torus(square_in_place, 2) == first
+    assert spheres._cached_circle(1024).tobytes() == spheres._circle(1024).tobytes()
+
+    bound = spheres._CACHED_CIRCLE_STEPS
+    spheres._cached_circle.cache_clear()
+    induced_matrix_on_torus(lambda z: z, 1, resolution=bound + 1)
+    assert spheres._cached_circle.cache_info().currsize == 0
+    for resolution in range(bound - 5, bound + 1):
+        induced_matrix_on_torus(lambda z: z, 1, resolution=resolution)
+    assert spheres._cached_circle.cache_info().currsize == 4
 
 
 def _induced_outcome(fn, n, resolution):
