@@ -670,6 +670,21 @@ def test_p_a_torus_map_agrees_bitwise_with_the_per_entry_product():
                 assert got.tobytes() == want.tobytes(), (rows, z.shape)
 
 
+def test_p_a_torus_map_forms_each_column_power_once(monkeypatch):
+    formed = []
+
+    def counted(base, exponent):
+        formed.append(exponent)
+        return _square_and_multiply(base, exponent)
+
+    monkeypatch.setattr(spheres, "_square_and_multiply", counted)
+    a = IntMatrix([[3, 1, 0], [3, -1, 0], [3, -1, 0]])
+    p_a_torus_map(a)(np.ones((5, 3), dtype=complex))
+    # column 1's exponent 3 and column 2's 1 and -1: one power each, where
+    # the rows ask for six
+    assert formed == [3, 1, 1]
+
+
 def test_sample_circle_cache_is_safe():
     circle = spheres._cached_circle(1024)
     assert not circle.flags.writeable
