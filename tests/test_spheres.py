@@ -392,6 +392,37 @@ def test_degree_outputs_are_frozen(capsys):
     assert digest == "e6047acc366dd4bf5d17a15b6d5d9fe5055617169e37e076210effc001ad9244"
 
 
+def test_degree_outputs_past_k6_are_frozen():
+    # from k = 7 on a frame denominator sums 8 or more squares, which numpy
+    # adds pairwise along a contiguous row: a sum taken in another order or
+    # layout moves the last bit, and this digest with it
+    outcomes = []
+    for k in (7, 8):
+        base = np.zeros(k + 1)
+        base[0] = 1.0
+        for seed, fn in enumerate((psi_map(base), antipodal_map, lambda pts: pts)):
+            for count in (1000, 4095, 4096, 4097, 2 * 4096 + 17):
+                est, err = degree_estimate_details(fn, k, count, seed=seed)
+                outcomes.append(f"{k} {count} {est!r} {err!r}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "e5f58de0256b130074c36a60a128d1bc50d460586695d26a03c21f1909edcddc"
+
+
+def test_tangent_frames_are_frozen():
+    # every bit of the frames of a batch, of one point and of a stacked
+    # batch, with the poles and a point of first coordinate 0 among them
+    h = hashlib.sha256()
+    rng = np.random.default_rng(5)
+    for d in (2, 5, 9):
+        pts = uniform_sphere_samples(d - 1, 300, rng)
+        pts[:3] = np.eye(d)[[0, 0, 1]] * [[1.0], [-1.0], [1.0]]
+        for p in (pts, pts[7], pts.reshape(3, 100, d)):
+            frames = tangent_frame(p)
+            h.update(repr(frames.shape).encode())
+            h.update(frames.tobytes())
+    assert h.hexdigest() == "6c8b5e82bcfceac48ccc6cda63a0c0b0a1dc3065335aa4d4e6e337f31f95ebed"
+
+
 def _traced_peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:
