@@ -356,6 +356,37 @@ def test_degree_input_validation():
         degree_estimate(lambda pts: 0.0 * pts, 2, sample_count=1000)
 
 
+def test_degree_of_a_broken_map_is_refused_without_warnings():
+    def with_row(row, value, rows=None):
+        # the image is the point itself, but `row` of every call with
+        # `rows` rows (of every call, if None) is `value`
+        def apply(pts):
+            out = pts.copy()
+            if rows in (None, len(pts)):
+                out[row] = value
+            return out
+
+        return apply
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shape = r"^degree map must preserve the point shape \({}, {}\), got \({}, {}\)$"
+        with pytest.raises(ValueError, match=shape.format(1000, 4, 1000, 2)):
+            degree_estimate_details(lambda pts: pts[:, :2], 3, 1000)
+        # rows dropped in the blocks only, not from the whole samples
+        with pytest.raises(ValueError, match=shape.format(4096, 3, 4095, 3)):
+            degree_estimate_details(lambda pts: pts if len(pts) == 5000 else pts[1:], 2, 5000)
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^map image of sample 1 has a non-finite norm$"):
+                degree_estimate_details(lambda pts: pts * value, 2, 1000)
+            with pytest.raises(ValueError, match="^map image of sample 3 has a non-finite norm$"):
+                degree_estimate_details(with_row(2, value), 2, 1000)
+            # a finite image whose difference quotient is not: row 3 of the
+            # second block, 904 samples long
+            with pytest.raises(ValueError, match="^Jacobian determinant at sample 4100 is not finite$"):
+                degree_estimate_details(with_row(3, value, rows=904), 2, 5000)
+
+
 def _circle_power_map(r):
     def apply(pts):
         w = (pts[:, 0] + 1j * pts[:, 1]) ** r
