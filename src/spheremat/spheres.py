@@ -70,8 +70,8 @@ _CACHED_CIRCLE_STEPS = 2**16
 # per sample for the arrays held whole (the samples, their images, norms and
 # determinants, and the temporaries of the draw and of the norms), plus
 # 8(k+1)(3k+8) B per sample of one block: the two (k, k+1, n) frames, the
-# Jacobians and the rows of one difference quotient measure 146, 329, 529
-# and 777 B at k = 1..4, 2 249 at k = 8 and 27 208 of the charged 27 456
+# Jacobians and the arrays of one column's map calls measure 129, 249, 417
+# and 633 B at k = 1..4, 2 009 at k = 8 and 26 392 of the charged 27 456
 # at k = 32.
 _DEGREE_BLOCK = 4096
 
@@ -342,6 +342,28 @@ def _image(map_fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np
     return image
 
 
+def _jacobian_column(
+    map_fn: Callable[[np.ndarray], np.ndarray],
+    cos_y: np.ndarray,
+    step: np.ndarray,
+    image_frames: np.ndarray,
+) -> np.ndarray:
+    """Column b of the Jacobians of a block, shape (n, k): the central
+    difference along the geodesic step `step` (row-major, sin(h) times frame
+    vector b), read in the coordinate-major `image_frames`. Its arrays are
+    freed on return, so none of them is alive during the next column's map
+    calls."""
+    plus = _image(map_fn, cos_y + step)
+    minus = _image(map_fn, cos_y - step)
+    deriv = np.subtract(plus.T, minus.T, out=np.empty(step.shape[::-1]))
+    deriv /= 2.0 * _DEGREE_STEP
+    # summed over the coordinates left to right, the order of every pinned estimate
+    column = image_frames[:, 0] * deriv[0]
+    for c in range(1, len(deriv)):
+        column += image_frames[:, c] * deriv[c]
+    return column.T
+
+
 def _jacobian_dets(
     map_fn: Callable[[np.ndarray], np.ndarray],
     y: np.ndarray,
@@ -363,18 +385,9 @@ def _jacobian_dets(
     cos_h, sin_h = math.cos(_DEGREE_STEP), math.sin(_DEGREE_STEP)
     cos_y = cos_h * y
     jac = np.empty((n, d - 1, d - 1))
-    column, term = np.empty((2, d - 1, n))
     for b, frame in enumerate(frames):
         step = np.multiply(frame.T, sin_h, out=np.empty((n, d)))
-        plus = _image(map_fn, cos_y + step)
-        minus = _image(map_fn, cos_y - step)
-        deriv = np.subtract(plus.T, minus.T, out=np.empty((d, n)))
-        deriv /= 2.0 * _DEGREE_STEP
-        # column b, summed over the coordinates left to right
-        np.multiply(image_frames[:, 0], deriv[0], out=column)
-        for c in range(1, d):
-            column += np.multiply(image_frames[:, c], deriv[c], out=term)
-        jac[:, :, b] = column.T
+        jac[:, :, b] = _jacobian_column(map_fn, cos_y, step, image_frames)
     return np.linalg.det(jac)
 
 
