@@ -454,6 +454,22 @@ def test_tangent_frames_are_frozen():
     assert h.hexdigest() == "6c8b5e82bcfceac48ccc6cda63a0c0b0a1dc3065335aa4d4e6e337f31f95ebed"
 
 
+def test_tangent_frames_past_eight_coordinates_are_frozen():
+    # a frame denominator of 8 or more squares is summed with eight
+    # accumulators, and one of more than 128 is split in two first: every
+    # bit of frames on both sides of each of those sizes
+    h = hashlib.sha256()
+    rng = np.random.default_rng(6)
+    for d in (8, 16, 17, 129, 130):
+        pts = uniform_sphere_samples(d - 1, 300, rng)
+        pts[:3] = np.eye(d)[[0, 0, 1]] * [[1.0], [-1.0], [1.0]]
+        for p in (pts, pts[7], pts.reshape(3, 100, d)):
+            frames = tangent_frame(p)
+            h.update(repr(frames.shape).encode())
+            h.update(frames.tobytes())
+    assert h.hexdigest() == "72ecde394d9ae9664759954d02da11e5e15a359e9c471a3de43d8c8faed5442f"
+
+
 def _traced_peak(fn, *args, **kwargs):
     # numpy imports numpy.random (and with it secrets, hmac and base64) on
     # the first default_rng call: ~0.77 MB of module state that would count
