@@ -19,9 +19,13 @@ of S^k with Monte Carlo sampling, using geodesic central differences and
 Householder tangent frames with a fixed orientation convention, so the
 identity map comes out at +1. Over each block of samples the frames and
 difference quotients are held coordinate-major, one contiguous row per
-coordinate, while the map itself gets row-major points; a map that changes
-the point shape, or an image or determinant that is not finite, is refused
-with a ValueError naming it. `induced_matrix_on_torus` recovers the
+coordinate, while the map itself gets row-major points. Sums of squares
+(the norms of the samples and images, the frame denominators) are formed
+one whole coordinate row at a time, in the order of numpy's pairwise row
+sum, so they keep its bits without its per-row reduction. A map that
+changes the point shape or returns complex points, an image or
+determinant that is not finite, and a negative seed are refused with a
+ValueError naming it. `induced_matrix_on_torus` recovers the
 integer matrix a self-map of (S^1)^n induces on first homology by
 accumulating phase along basis loops: one map call per loop, then one
 vectorized check of all n image coordinates, which names the first one that
@@ -67,12 +71,16 @@ _CACHED_CIRCLE_STEPS = 2**16
 # Degree estimates form tangent frames, difference quotients and Jacobians
 # over blocks of this many samples. Peak traced memory on S^k (tracemalloc,
 # psi, antipodal and identity maps, k = 1..32) is at most 24(k+1) + 16 B
-# per sample for the arrays held whole (the samples, their images, norms and
-# determinants, and the temporaries of the draw and of the norms), plus
-# 8(k+1)(3k+8) B per sample of one block: the two (k, k+1, n) frames, the
-# Jacobians and the arrays of one column's map calls measure 129, 249, 417
-# and 633 B at k = 1..4, 2 009 at k = 8 and 26 392 of the charged 27 456
-# at k = 32.
+# per sample for the arrays held whole, plus 8(k+1)(3k+8) B per sample of
+# one block: the two (k, k+1, n) frames, the Jacobians and the arrays of one
+# column's map calls measure 129, 249, 417 and 633 B at k = 1..4, 2 009 at
+# k = 8 and 26 392 of the charged 27 456 at k = 32. The library's own whole
+# arrays (the samples, their images, norms and determinants, and one
+# temporary beside them) take 16(k+1) + 24 B per sample up to k = 6 and
+# 16(k+1) + 72 from k = 7, where a sum of squares keeps eight accumulators;
+# the charge stays 24(k+1) + 16, which a map's own temporaries can reach:
+# psi's `base - 2 inner pts` holds one of the image's size beside the
+# samples and the image, 24(k+1) + 8 B per sample.
 _DEGREE_BLOCK = 4096
 
 # Degree estimates differentiate along geodesics at this fixed step h.
@@ -290,13 +298,46 @@ def antipodal_map(points: np.ndarray) -> np.ndarray:
     return -np.asarray(points, dtype=float)
 
 
+def _sum_squares(rows: np.ndarray) -> np.ndarray:
+    """The elementwise sum of the squares of the d arrays `rows` (the
+    coordinate rows of points, contiguous or strided), added in the order of
+    numpy's pairwise sum of a row of d terms: left to right below 8 terms,
+    eight accumulators up to 128, and past 128 the two halves split at a
+    multiple of 8. So `_sum_squares(x.T)` equals `np.sum(x * x, axis=-1)`
+    and `np.sqrt` of it `np.linalg.norm(x, axis=-1)`, bit for bit, with one
+    whole-row operation per coordinate instead of a reduction along rows
+    of d terms."""
+    d = len(rows)
+    if d > 128:
+        half = d // 2 - (d // 2) % 8
+        total = _sum_squares(rows[:half])
+        total += _sum_squares(rows[half:])
+        return total
+    # numpy starts its sum at 0.0, which leaves the first square unchanged
+    total = np.multiply(rows[0], rows[0])
+    square = np.empty_like(total)
+    rest = rows[1:]
+    if d >= 8:
+        acc = [total] + [np.multiply(row, row) for row in rows[1:8]]
+        whole = d - d % 8
+        for i in range(8, whole):
+            acc[i % 8] += np.multiply(rows[i], rows[i], out=square)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            acc[a] += acc[b]
+        total, rest = acc[0], rows[whole:]
+    for row in rest:
+        total += np.multiply(row, row, out=square)
+    return total
+
+
 def uniform_sphere_samples(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` points uniform on S^k, via normalized Gaussians."""
     pts = rng.standard_normal((count, k + 1))
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
+    norms = np.sqrt(_sum_squares(pts.T))
     # a zero Gaussian vector has probability zero; nudge defensively anyway
     norms[norms == 0.0] = 1.0
-    return pts / norms
+    return pts / norms[:, None]
 
 
 def _frames(points: np.ndarray) -> np.ndarray:
@@ -306,12 +347,9 @@ def _frames(points: np.ndarray) -> np.ndarray:
     operation per frame vector."""
     d = points.shape[-1]
     s = np.where(points[..., 0] >= 0.0, 1.0, -1.0)
-    v = points.copy()
-    v[..., 0] += s
-    # summed along each point's own row: numpy adds 8 or more terms
-    # pairwise, so a sum down the coordinate rows would move the last bit
-    denom = np.sum(v * v, axis=-1)
-    rows = np.moveaxis(v, -1, 0).copy()
+    rows = np.moveaxis(points, -1, 0).copy()
+    rows[0] += s
+    denom = _sum_squares(rows)
     frames = np.empty((d - 1,) + rows.shape)
     for b in range(1, d):
         coeff = 2.0 * rows[b] / denom
@@ -333,8 +371,13 @@ def tangent_frame(points: np.ndarray) -> np.ndarray:
 
 
 def _image(map_fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """`map_fn(points)` as floats, refused unless it keeps the points' shape."""
-    image = np.asarray(map_fn(points), dtype=float)
+    """`map_fn(points)` as floats, refused unless it is real and keeps the
+    points' shape."""
+    image = np.asarray(map_fn(points))
+    if np.iscomplexobj(image):
+        # a cast to float would drop the imaginary part with a warning
+        raise ValueError(f"degree map must return real points, got {image.dtype}")
+    image = np.asarray(image, dtype=float)
     if image.shape != points.shape:
         raise ValueError(
             f"degree map must preserve the point shape {points.shape}, got {image.shape}"
@@ -430,16 +473,19 @@ def degree_estimate_details(
     `_DEGREE_BLOCK` samples, so `map_fn` must act on each row on its own.
     The mean and spread are taken over all determinants at once, so the
     result does not depend on the block size. An estimate whose memory need
-    passes 1 GiB is refused with a ValueError before anything is drawn. A
-    map that returns another shape than the points it is given, an image of
-    non-finite norm and a determinant that is not finite are each refused
-    with a ValueError, the last two naming the first such sample (counted
-    from 1), and without numpy warnings.
+    passes 1 GiB, or one with a negative integer seed, is refused with a
+    ValueError before anything is drawn. A map that returns another shape
+    than the points it is given or complex points, an image of non-finite
+    norm and a determinant that is not finite are each refused with a
+    ValueError, the last two naming the first such sample (counted from 1),
+    and without numpy warnings.
     """
     if k < 1:
         raise ValueError("sphere dimension must be at least 1")
     if sample_count < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _check_memory(_degree_bytes(k, sample_count), "an estimate of {} samples on S^{}", sample_count, k)
     rng = np.random.default_rng(seed)
     y = uniform_sphere_samples(k, sample_count, rng)
@@ -447,10 +493,11 @@ def degree_estimate_details(
     # the image and the determinants are judged below, as whole arrays, so
     # numpy's warnings on non-finite values would only repeat it
     with np.errstate(all="ignore"):
-        fy_norms = np.linalg.norm(fy, axis=1, keepdims=True)
+        fy_norms = np.sqrt(_sum_squares(fy.T))
         _require_finite(fy_norms, "map image of sample {} has a non-finite norm")
         if np.any(fy_norms < 1e-12):
             raise ValueError("map sent a sample to the origin")
+        fy_norms = fy_norms[:, None]
         dets = np.empty(sample_count)
         for lo in range(0, sample_count, _DEGREE_BLOCK):
             hi = lo + _DEGREE_BLOCK

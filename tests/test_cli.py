@@ -553,6 +553,14 @@ def test_degree_power_map(capsys):
     assert main(["degree", "--k", "2", "--map", "power"]) == 2
 
 
+def test_degree_negative_seed_is_named(capsys):
+    argv = ["degree", "--k", "3", "--map", "psi", "--samples", "1000", "--seed", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("step", ["0", "nan", "inf", "-inf"])
 def test_degree_rejects_zero_or_nonfinite_step(capsys, step):
     # the step is fixed at 1e-5, so any --step, zero and non-finite ones

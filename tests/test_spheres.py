@@ -304,6 +304,38 @@ def test_uniform_samples_sit_on_sphere():
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
 
+def test_sum_squares_adds_in_numpys_pairwise_order():
+    # bit for bit the row sums and norms numpy forms along the last axis,
+    # below and above 8 terms (eight accumulators), 128 (a split) and 256
+    # (a second split), from strided and from contiguous coordinate rows,
+    # at scales whose squares overflow or are subnormal; a change of
+    # numpy's summation order fails here first. (50 000, d) is taken up to
+    # d = 10 and (4096, d) up to d = 128, past which they pass 2^19
+    # entries; the order of a row does not depend on the number of rows.
+    rng = np.random.default_rng(12)
+    sizes = [*range(1, 33), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 300, 513]
+    shapes = [(), (1,), (2,), (4096,), (50_000,), (3, 100), (2, 3, 5)]
+    cases = 0
+    with np.errstate(over="ignore", under="ignore"):
+        for d in sizes:
+            for shape in shapes:
+                if math.prod(shape) * d > 2**19:
+                    continue
+                unit = rng.standard_normal(shape + (d,))
+                for scale in (1.0, math.exp(300), math.exp(-300), 1e155, 1e-160):
+                    x = unit * scale
+                    sums = np.sum(x * x, axis=-1).tobytes()
+                    norms = np.linalg.norm(x, axis=-1).tobytes()
+                    rows = np.moveaxis(x, -1, 0)
+                    for r in (rows, rows.copy()):
+                        total = spheres._sum_squares(r)
+                        assert np.shape(total) == shape
+                        assert np.asarray(total).tobytes() == sums, (d, shape, scale)
+                        assert np.asarray(np.sqrt(total)).tobytes() == norms, (d, shape, scale)
+                    cases += 1
+    assert cases == 5 * (len(sizes) * len(shapes) - 41)
+
+
 def test_tangent_frames_are_oriented_orthonormal():
     rng = np.random.default_rng(11)
     for k in (1, 2, 3):
@@ -385,6 +417,22 @@ def test_degree_of_a_broken_map_is_refused_without_warnings():
             # second block, 904 samples long
             with pytest.raises(ValueError, match="^Jacobian determinant at sample 4100 is not finite$"):
                 degree_estimate_details(with_row(3, value, rows=904), 2, 5000)
+
+
+def test_degree_of_a_complex_map_or_a_negative_seed_is_refused_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        complex_image = "^degree map must return real points, got complex128$"
+        with pytest.raises(ValueError, match=complex_image):
+            degree_estimate_details(lambda pts: pts + 1j * np.roll(pts, 1, axis=1), 2, 1000)
+        # complex in the blocks' map calls only, not on the whole samples
+        with pytest.raises(ValueError, match=complex_image):
+            degree_estimate_details(lambda pts: pts if len(pts) == 5000 else pts + 0j, 2, 5000)
+        with pytest.raises(ValueError, match="^degree map must return real points, got complex64$"):
+            degree_estimate_details(lambda pts: pts.astype(np.complex64), 2, 1000)
+        for seed in (-1, np.int64(-3)):
+            with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+                degree_estimate_details(antipodal_map, 2, 1000, seed=seed)
 
 
 def _circle_power_map(r):
@@ -470,7 +518,9 @@ def test_tangent_frames_past_eight_coordinates_are_frozen():
     assert h.hexdigest() == "72ecde394d9ae9664759954d02da11e5e15a359e9c471a3de43d8c8faed5442f"
 
 
-def _traced_peak(fn, *args, **kwargs):
+def _traced_memory(fn, *args, **kwargs):
+    """The traced memory `fn(*args, **kwargs)` leaves allocated, and its
+    traced peak."""
     # numpy imports numpy.random (and with it secrets, hmac and base64) on
     # the first default_rng call: ~0.77 MB of module state that would count
     # against whichever measurement runs first, so pay it untraced
@@ -478,9 +528,13 @@ def _traced_peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:
         fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def _traced_peak(fn, *args, **kwargs):
+    return _traced_memory(fn, *args, **kwargs)[1]
 
 
 def test_degree_estimate_keeps_at_most_200_bytes_per_sample():
@@ -491,6 +545,23 @@ def test_degree_estimate_keeps_at_most_200_bytes_per_sample():
     base[0] = 1.0
     peak = _traced_peak(degree_estimate_details, psi_map(base), 4, 200_000, seed=1)
     assert peak / 200_000 <= 200
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_degree_whole_arrays_keep_16_bytes_per_coordinate_plus_24_bytes_per_sample(k):
+    # the growth of the traced peak with the sample count: the samples and
+    # their images, the image norms, the determinants and one temporary
+    # beside them (8 B per sample each); the image norms once held an
+    # (n, k + 1) temporary, and read 24(k + 1) + 16 B per sample. What the
+    # call leaves allocated is no array: CPython keeps freed small tuples
+    # (~100 B per block here) in free lists, which tracemalloc still counts,
+    # so it is taken off each peak, and must stay under 1 B per sample
+    held = []
+    for n in (200_000, 400_000):
+        left, peak = _traced_memory(degree_estimate_details, antipodal_map, k, n, seed=k)
+        assert left < n
+        held.append(peak - left)
+    assert (held[1] - held[0]) / 200_000 <= 16 * (k + 1) + 24
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
