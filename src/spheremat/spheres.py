@@ -497,11 +497,10 @@ def degree_estimate_details(
         _require_finite(fy_norms, "map image of sample {} has a non-finite norm")
         if np.any(fy_norms < 1e-12):
             raise ValueError("map sent a sample to the origin")
-        fy_norms = fy_norms[:, None]
         dets = np.empty(sample_count)
         for lo in range(0, sample_count, _DEGREE_BLOCK):
             hi = lo + _DEGREE_BLOCK
-            dets[lo:hi] = _jacobian_dets(map_fn, y[lo:hi], fy[lo:hi] / fy_norms[lo:hi])
+            dets[lo:hi] = _jacobian_dets(map_fn, y[lo:hi], fy[lo:hi] / fy_norms[lo:hi, None])
         _require_finite(dets, "Jacobian determinant at sample {} is not finite")
     estimate = float(np.mean(dets))
     stderr = float(np.std(dets) / math.sqrt(sample_count))
