@@ -245,6 +245,35 @@ def test_quaternion_collision_witness_confirmed():
         assert got.allclose(want)
 
 
+def test_quaternion_collision_witness_is_frozen():
+    w = quaternion_collision_witness()
+    assert repr(w.first_image + w.second_image) == (
+        "(AlgebraElement([0.0, 1.0, 0.0, 0.0]), AlgebraElement([0.0, 1.0, 0.0, 0.0]), "
+        "AlgebraElement([0.0, 1.0, 0.0, 5.551115123125783e-17]), "
+        "AlgebraElement([0.0, 1.0, 0.0, -1.6653345369377348e-16]))"
+    )
+    assert w.max_error.hex() == "0x1.8000000000000p-53"
+    assert w.input_separation.hex() == "0x1.3988e1409212ep+1"
+
+
+def test_p_a_eval_outputs_are_frozen():
+    # digest of repr of the images of seeded unit complex and quaternion
+    # tuples under seeded matrices with entries -5..5, n = 1..4, a zero row
+    # in every fourth matrix
+    rng = random.Random(3939)
+    images = []
+    for dim in (2, 4):
+        for n in range(1, 5):
+            for t in range(12):
+                rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+                if t % 4 == 0:
+                    rows[rng.randrange(n)] = [0] * n
+                xs = tuple(rand_element(rng, dim, unit=True) for _ in range(n))
+                images.append(repr(p_a_eval(IntMatrix(rows), xs)))
+    digest = hashlib.sha256("\n".join(images).encode()).hexdigest()
+    assert digest == "e953d6673b635304f41706bc4e32280b867c8790f177cf52fd2a380723238646"
+
+
 # ---------------------------------------------------------------------------
 # the reflection family
 # ---------------------------------------------------------------------------
@@ -284,6 +313,15 @@ def test_psi_map_matches_pointwise():
     vectorized = psi_map(x)(pts)
     for row, y in zip(vectorized, pts):
         assert np.allclose(row, psi_eval(x, y), atol=1e-12)
+
+
+def test_psi_eval_is_one_row_of_psi_map():
+    rng = np.random.default_rng(39)
+    for k in (1, 2, 3, 7, 8, 40):
+        pts = uniform_sphere_samples(k, 20, rng)
+        for x in pts[:3]:
+            for y in pts:
+                assert psi_eval(x, y).tobytes() == psi_map(x)(y[None])[0].tobytes()
 
 
 def test_psi_rejects_non_unit():
