@@ -359,13 +359,10 @@ def _induced_map_and_expected(
 
 
 def _cmd_induced(args: argparse.Namespace) -> tuple:
-    from .spheres import PhaseAmbiguityError, induced_matrix_on_torus
+    from .spheres import PhaseAmbiguityError, _winding_resolution, induced_matrix_on_torus
 
     fn, expected = _induced_map_and_expected(args)
-    # a loop of R samples steps entry a's phase by 2*pi*a/R, below the pi/2
-    # the check allows when R > 4*|a|
-    peak = max(abs(x) for row in expected.rows for x in row)
-    resolution = max(1024, 4 * peak + 1)
+    resolution = _winding_resolution(expected)
     try:
         measured = induced_matrix_on_torus(fn, args.n, resolution=resolution)
     except PhaseAmbiguityError as exc:  # a RuntimeError: report it as a failed check

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import spheres
 from ._record import record
 from .intmat import IntMatrix, elementary_matrix, tau_matrix
 from .permutation import Permutation
@@ -210,13 +211,11 @@ def _check_reflection_shear() -> tuple[bool, str]:
 
 
 def _check_psi_circle() -> tuple[bool, str]:
-    # on the circle, x - 2<x,y>y at x = 1 is -y^2
+    # at x = 1, psi_map's x - 2<x,y>y is -y^2 on the circle, as pairs of reals
+    psi = spheres.psi_map(np.array([1.0, 0.0]))
+
     def circle_map(z: np.ndarray) -> np.ndarray:
-        out = np.asarray(z, dtype=complex).copy()
-        y = out[..., 0]
-        inner = np.real(np.conj(y))
-        out[..., 0] = 1.0 - 2.0 * inner * y
-        return out
+        return psi(z.view(float)).view(complex)
 
     measured = induced_matrix_on_torus(circle_map, 1)
     if measured != IntMatrix([[2]]):

@@ -24,16 +24,17 @@ coordinate, while the map itself gets row-major points. Sums of squares
 one whole coordinate row at a time, in the order of numpy's pairwise row
 sum, so they keep its bits without its per-row reduction. A map that
 changes the point shape or returns complex points, an image or
-determinant that is not finite, and a negative seed are refused with a
-ValueError naming it. `induced_matrix_on_torus` recovers the
-integer matrix a self-map of (S^1)^n induces on first homology by
-accumulating phase along basis loops: one map call per loop, then one
+determinant that is not finite, and a seed that is not a non-negative
+integer are refused with a ValueError naming it. `induced_matrix_on_torus`
+recovers the integer matrix a self-map of (S^1)^n induces on first homology
+by accumulating phase along basis loops: one map call per loop, then one
 vectorized check of all n image coordinates, which names the first one that
 vanishes or is not finite. The sample circle of a resolution up to 2^16 is
-formed once and shared read-only. `p_a_torus_map` forms each distinct
-square-and-multiply power of a coordinate once per call, with no array of
-ones, and returns one contiguous row per image coordinate, so the check
-takes its rows without a copy.
+formed once and shared read-only. One power-product loop serves `p_a_eval`
+and `p_a_torus_map`: it forms each distinct square-and-multiply power of a
+coordinate once per call and starts each row at its first power, not at
+one; `p_a_torus_map` returns one contiguous row per image coordinate, so
+the check takes its rows without a copy.
 """
 
 from __future__ import annotations
@@ -206,38 +207,49 @@ def octonion_unit(index: int) -> AlgebraElement:
     return AlgebraElement(v)
 
 
-def _check_unit_element(x: AlgebraElement) -> None:
-    if abs(x.norm() - 1.0) > UNIT_TOL:
-        raise ValueError(f"element has norm {x.norm()}, expected a unit")
+def _unit_elements(xs: Sequence[AlgebraElement]) -> int:
+    """The dimension the elements `xs` share, each a unit within `UNIT_TOL`."""
+    dims = {x.dimension for x in xs}
+    if len(dims) != 1:
+        raise ValueError("mixed algebra dimensions")
+    for x in xs:
+        check_unit_point(x.components, UNIT_TOL)
+    return dims.pop()
+
+
+def _power_products(rows: Sequence[Sequence[int]], bases: Sequence, reciprocal: Callable) -> list:
+    """Per row, the left-to-right product of the powers bases[c] ** row[c]
+    over its nonzero entries, None for a zero row. Each column forms its
+    base's `reciprocal` at most once and each distinct power once, so each
+    row keeps the bits of its own left-to-right product."""
+    acc = [None] * len(rows)
+    for c, x in enumerate(bases):
+        inv, powers = None, {}
+        for s, row in enumerate(rows):
+            if e := row[c]:
+                if (power := powers.get(e)) is None:
+                    if e < 0 and inv is None:
+                        inv = reciprocal(x)
+                    power = powers[e] = _square_and_multiply(x if e > 0 else inv, abs(e))
+                acc[s] = power if acc[s] is None else acc[s] * power
+    return acc
 
 
 def p_a_eval(a: IntMatrix, xs: Sequence[AlgebraElement]) -> tuple[AlgebraElement, ...]:
     """The power-product map of an integer matrix on tuples of unit elements.
 
     Component i is the left-to-right product x_1^{a_i1} x_2^{a_i2} ... over
-    the i-th row of `a`. Requires complex or quaternion inputs; octonions
-    are rejected because the product order would not even be well defined
-    without associativity.
+    the nonzero entries of the i-th row of `a`, and 1 for a zero row.
+    Requires complex or quaternion inputs; octonions are rejected because
+    the product order would not even be well defined without associativity.
     """
     if len(xs) != a.n:
         raise ValueError(f"expected {a.n} inputs, got {len(xs)}")
-    dims = {x.dimension for x in xs}
-    if len(dims) != 1:
-        raise ValueError("mixed algebra dimensions")
-    dim = dims.pop()
+    dim = _unit_elements(xs)
     if dim == 8:
         raise ValueError("power products are not defined for octonion inputs")
-    for x in xs:
-        _check_unit_element(x)
-    out = []
-    for i in range(a.n):
-        acc = AlgebraElement.one(dim)
-        for s in range(a.n):
-            e = a.rows[i][s]
-            if e:
-                acc = acc * (xs[s] ** e)
-        out.append(acc)
-    return tuple(out)
+    products = _power_products(a.rows, xs, AlgebraElement.inverse)
+    return tuple(AlgebraElement.one(dim) if p is None else p for p in products)
 
 
 def p_ij_eval(
@@ -251,11 +263,7 @@ def p_ij_eval(
     n = len(xs)
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError(f"need distinct slots in 1..{n}")
-    dims = {x.dimension for x in xs}
-    if len(dims) != 1:
-        raise ValueError("mixed algebra dimensions")
-    for x in xs:
-        _check_unit_element(x)
+    _unit_elements(xs)
     out = list(xs)
     factor = xs[j - 1].inverse() if inverse else xs[j - 1]
     out[i - 1] = xs[i - 1] * factor
@@ -267,19 +275,22 @@ def p_ij_eval(
 # ---------------------------------------------------------------------------
 
 def check_unit_point(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """`v` as floats, refused unless its norm is within `tol` of 1 (a NaN
+    norm is not): the one unit test, with `UNIT_TOL` for algebra elements."""
     arr = np.asarray(v, dtype=float)
-    if abs(float(np.linalg.norm(arr)) - 1.0) > tol:
-        raise ValueError("point is not on the unit sphere")
+    norm = float(np.linalg.norm(arr))
+    if not abs(norm - 1.0) <= tol:
+        raise ValueError(f"norm {norm} is not within {tol:g} of 1")
     return arr
 
 
 def psi_eval(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x - 2<x,y>y for unit vectors; a unit vector again, of the same dimension."""
-    xa = check_unit_point(x)
+    apply = psi_map(x)
     ya = check_unit_point(y)
-    if xa.shape != ya.shape:
+    if np.shape(x) != ya.shape:
         raise ValueError("dimension mismatch")
-    return xa - 2.0 * float(np.dot(xa, ya)) * ya
+    return apply(ya[None])[0]
 
 
 def psi_map(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -473,18 +484,18 @@ def degree_estimate_details(
     `_DEGREE_BLOCK` samples, so `map_fn` must act on each row on its own.
     The mean and spread are taken over all determinants at once, so the
     result does not depend on the block size. An estimate whose memory need
-    passes 1 GiB, or one with a negative integer seed, is refused with a
-    ValueError before anything is drawn. A map that returns another shape
-    than the points it is given or complex points, an image of non-finite
-    norm and a determinant that is not finite are each refused with a
-    ValueError, the last two naming the first such sample (counted from 1),
-    and without numpy warnings.
+    passes 1 GiB, or one whose seed is not a non-negative int or numpy
+    integer (a bool is not), is refused with a ValueError before anything
+    is drawn. A map that returns another shape than the points it is given
+    or complex points, an image of non-finite norm and a determinant that
+    is not finite are each refused with a ValueError, the last two naming
+    the first such sample (counted from 1), and without numpy warnings.
     """
     if k < 1:
         raise ValueError("sphere dimension must be at least 1")
     if sample_count < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _check_memory(_degree_bytes(k, sample_count), "an estimate of {} samples on S^{}", sample_count, k)
     rng = np.random.default_rng(seed)
@@ -522,6 +533,13 @@ def _cached_circle(resolution: int) -> np.ndarray:
     circle = _circle(resolution)
     circle.flags.writeable = False
     return circle
+
+
+def _winding_resolution(a: IntMatrix) -> int:
+    """The loops' resolution for the monomial map of `a`: 1024, or past
+    4 |a_ij|, since R samples step entry a_ij's phase by 2 pi a_ij / R, and
+    the step check below allows up to pi/2."""
+    return max(1024, 4 * max(abs(x) for row in a.rows for x in row) + 1)
 
 
 def induced_matrix_on_torus(
@@ -604,31 +622,16 @@ def _require_float_range(value: int, what: str, *where: object) -> None:
 
 
 def p_a_torus_map(a: IntMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized complex twin of p_a_eval, for winding measurements.
-
-    Each call forms a column's reciprocal at most once and each distinct
-    power in a column once, and multiplies it into every row that uses it.
-    Columns go left to right, so each row is the same product, bit for bit,
-    as its own left-to-right product, and only the current column's powers
-    are kept. The result is a transposed view of one contiguous row per
-    image coordinate.
-    """
+    """Vectorized complex twin of p_a_eval, for winding measurements; its
+    result is a transposed view of one contiguous row per image coordinate."""
     for r, row in enumerate(a.rows, 1):
         for c, e in enumerate(row, 1):
             _require_float_range(e, "matrix entry ({}, {})", r, c)
 
     def apply(z: np.ndarray) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)
-        acc = [None] * a.n
-        for c in range(a.n):
-            x, inv, powers = zz[..., c], None, {}
-            for s, row in enumerate(a.rows):
-                if e := row[c]:
-                    if (power := powers.get(e)) is None:
-                        if e < 0 and inv is None:
-                            inv = 1.0 / x
-                        power = powers[e] = _square_and_multiply(x if e > 0 else inv, abs(e))
-                    acc[s] = power if acc[s] is None else acc[s] * power
+        # 1.0 / x, not np.reciprocal: the pinned windings keep its bits
+        acc = _power_products(a.rows, [zz[..., c] for c in range(a.n)], lambda x: 1.0 / x)
         out = np.empty(zz.shape[::-1], dtype=complex).T
         for s, product in enumerate(acc):
             out[..., s] = 1.0 if product is None else product

@@ -205,6 +205,32 @@ def test_p_a_rejections():
         p_a_eval(IntMatrix.identity(2), (complex_unit(2, 0), complex_unit(1, 0)))
 
 
+def test_p_a_eval_rows_are_the_left_to_right_product_of_powers():
+    # each row, bit for bit, is the product of the elements' own powers over
+    # its nonzero entries; signed basis units make exact zeros, whose signs
+    # the product keeps
+    rng = random.Random(3940)
+    for dim in (2, 4):
+        basis = [AlgebraElement(sign * np.eye(dim)[i]) for i in range(dim) for sign in (1, -1)]
+        for n in range(1, 5):
+            for t in range(40):
+                a = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+                xs = tuple(
+                    rng.choice(basis) if t % 2 else rand_element(rng, dim, unit=True)
+                    for _ in range(n)
+                )
+                for got, row in zip(p_a_eval(a, xs), a.rows):
+                    want = AlgebraElement.one(dim)
+                    powers = [x**e for x, e in zip(xs, row) if e]
+                    if powers:
+                        want = powers[0]
+                        for power in powers[1:]:
+                            want = want * power
+                    assert got.components.tobytes() == want.components.tobytes(), (a, xs)
+    # a zero sign that starting from one would lose
+    assert repr(p_a_eval(IntMatrix([[2]]), (complex_unit(-1, 0),))) == "(AlgebraElement([1.0, -0.0]),)"
+
+
 def test_p_ij_complex_and_inverse_roundtrip():
     u, v = complex_unit(0, 1), complex_unit(math.sqrt(0.5), math.sqrt(0.5))
     out = p_ij_eval(1, 2, (u, v))
@@ -277,6 +303,32 @@ def test_p_a_eval_outputs_are_frozen():
 # ---------------------------------------------------------------------------
 # the reflection family
 # ---------------------------------------------------------------------------
+
+def test_one_unit_rule_refuses_nan_with_the_norm_and_the_tolerance():
+    nan_point, e1 = np.array([np.nan, 0.0]), np.array([1.0, 0.0])
+    point = r"^norm nan is not within 1e-12 of 1$"
+    with pytest.raises(ValueError, match=point):
+        psi_eval(nan_point, e1)
+    with pytest.raises(ValueError, match=point):
+        psi_eval(e1, nan_point)
+    with pytest.raises(ValueError, match=point):
+        psi_map(nan_point)
+    with pytest.raises(ValueError, match=r"^norm inf is not within 1e-12 of 1$"):
+        check_unit_point([1.0, np.inf])
+    element = r"^norm nan is not within 1e-09 of 1$"
+    nan_unit = complex_unit(np.nan, 0.0)
+    with pytest.raises(ValueError, match=element):
+        p_a_eval(IntMatrix.identity(2), (complex_unit(1, 0), nan_unit))
+    with pytest.raises(ValueError, match=element):
+        p_ij_eval(1, 2, (nan_unit, complex_unit(1, 0)))
+    # both tolerances are unchanged
+    with pytest.raises(ValueError, match=r"^norm 1\.000001 is not within 1e-09 of 1$"):
+        p_a_eval(IntMatrix.identity(1), (complex_unit(1.000001, 0.0),))
+    p_a_eval(IntMatrix.identity(1), (complex_unit(1.0 + 1e-10, 0.0),))
+    psi_eval(np.array([1.0 + 1e-13, 0.0]), e1)
+    with pytest.raises(ValueError, match=r"^norm 1\.0000000001 is not within 1e-12 of 1$"):
+        psi_eval(np.array([1.0 + 1e-10, 0.0]), e1)
+
 
 def test_psi_special_positions():
     x = np.array([1.0, 0.0, 0.0])
@@ -424,6 +476,16 @@ def test_degree_input_validation():
         degree_estimate(antipodal_map, 2, sample_count=10)
     with pytest.raises(ValueError):
         degree_estimate(lambda pts: 0.0 * pts, 2, sample_count=1000)
+
+
+def test_degree_refuses_a_seed_that_is_not_an_integer():
+    for seed in (1.5, 2.0, True, np.True_, None, "3", np.float64(1.0)):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            degree_estimate_details(antipodal_map, 2, 1000, seed=seed)
+    # Python and numpy integers still run, to the same estimate
+    assert degree_estimate_details(antipodal_map, 2, 1000, seed=np.uint8(4)) == (
+        degree_estimate_details(antipodal_map, 2, 1000, seed=4)
+    )
 
 
 def test_degree_of_a_broken_map_is_refused_without_warnings():
@@ -944,6 +1006,14 @@ def test_induced_outcomes_are_frozen():
     assert sum(o.startswith("((") for o in outcomes) > len(outcomes) // 2
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "6d161c42f64a7f84e157b424b2a47e3da60cdb50f160946aaa7f8df8d8fbe936"
+
+
+def test_winding_resolution_passes_the_step_check():
+    for peak in (1, 255, 256, 257, 1000, 3000):
+        a = IntMatrix([[1, peak], [0, -1]])
+        resolution = spheres._winding_resolution(a)
+        assert resolution == max(1024, 4 * peak + 1)
+        assert induced_matrix_on_torus(p_a_torus_map(a), 2, resolution=resolution) == a
 
 
 def test_check_unit_point_tolerance():
