@@ -938,6 +938,38 @@ def test_p_a_torus_map_forms_each_column_power_once(monkeypatch):
     assert formed == [3, 1, 1]
 
 
+def test_p_a_torus_map_basis_loop_images_are_frozen():
+    # digest of the output bytes, zero signs included, of seeded monomial
+    # maps with small, wide (past resolution/4) and zero entries, and of
+    # composites of two, on every basis loop of a winding measurement at
+    # resolutions 256 and 1024
+    rng = random.Random(4040)
+    digest = hashlib.sha256()
+    for resolution in (256, 1024):
+        circle = spheres._circle(resolution)
+        for n in (1, 2, 3, 4):
+            matrices = [[[0] * n for _ in range(n)], [[int(r == c) for c in range(n)] for r in range(n)]]
+            for t in range(12):
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                if t % 3 == 0:
+                    rows[rng.randrange(n)][rng.randrange(n)] = rng.choice((1, -1)) * rng.randint(
+                        resolution // 4 + 1, 2 * resolution
+                    )
+                if t % 4 == 1:
+                    rows[rng.randrange(n)] = [0] * n
+                matrices.append(rows)
+            maps = [p_a_torus_map(IntMatrix(rows)) for rows in matrices]
+            for _ in range(4):
+                outer, inner = rng.sample(matrices, 2)
+                maps.append(compose_maps(p_a_torus_map(IntMatrix(outer)), p_a_torus_map(IntMatrix(inner))))
+            for fn in maps:
+                for j in range(n):
+                    z = np.ones((resolution + 1, n), dtype=complex)
+                    z[:, j] = circle
+                    digest.update(fn(z).tobytes())
+    assert digest.hexdigest() == "0ab569ab7320dbbcb9dc89899c645be4602829481e25bf02aecc7d702e7d9986"
+
+
 def test_sample_circle_cache_is_safe():
     circle = spheres._cached_circle(1024)
     assert not circle.flags.writeable
