@@ -29,12 +29,16 @@ integer are refused with a ValueError naming it. `induced_matrix_on_torus`
 recovers the integer matrix a self-map of (S^1)^n induces on first homology
 by accumulating phase along basis loops: one map call per loop, then one
 vectorized check of all n image coordinates, which names the first one that
-vanishes or is not finite. The sample circle of a resolution up to 2^16 is
-formed once and shared read-only. One power-product loop serves `p_a_eval`
-and `p_a_torus_map`: it forms each distinct square-and-multiply power of a
-coordinate once per call and starts each row at its first power, not at
-one; `p_a_torus_map` returns one contiguous row per image coordinate, so
-the check takes its rows without a copy.
+vanishes or is not finite. Each phase step is the angle of a sample times
+the conjugate of the one before it, not of their quotient (a quotient only
+past 2^511 in modulus, where the product could overflow). The sample circle
+of a resolution up to 2^16 is formed once and shared read-only. One
+power-product loop serves `p_a_eval` and `p_a_torus_map`: it forms each
+distinct square-and-multiply power of a coordinate once per call and starts
+each row at its first power, not at one. `p_a_torus_map` holds every slot
+that is 1 at all samples, as a basis loop holds all but one, and forms no
+power of it; it returns one contiguous row per image coordinate, so the
+check takes its rows without a copy.
 """
 
 from __future__ import annotations
@@ -91,6 +95,11 @@ _DEGREE_STEP = 1e-5
 def _degree_bytes(k: int, sample_count: int) -> int:
     whole = sample_count * (24 * (k + 1) + 16)
     return whole + min(sample_count, _DEGREE_BLOCK) * 8 * (k + 1) * (3 * k + 8)
+
+
+def _is_integer(value: object) -> bool:
+    """Whether `value` is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_memory(estimate: int, what: str, *where: object) -> None:
@@ -296,6 +305,8 @@ def psi_eval(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def psi_map(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The self-map y -> x - 2<x,y>y of the sphere containing x, vectorized."""
     base = check_unit_point(x)
+    if base.ndim != 1:
+        raise ValueError(f"psi base must be a vector, got shape {base.shape}")
 
     def apply(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -495,7 +506,7 @@ def degree_estimate_details(
         raise ValueError("sphere dimension must be at least 1")
     if sample_count < 1000:
         raise ValueError("need at least 1000 samples for a meaningful estimate")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _check_memory(_degree_bytes(k, sample_count), "an estimate of {} samples on S^{}", sample_count, k)
     rng = np.random.default_rng(seed)
@@ -553,10 +564,16 @@ def induced_matrix_on_torus(
     of image coordinate s as basis loop j is traversed, so the monomial map
     of a matrix A measures back A itself. Steps whose phase jump nears pi
     raise PhaseAmbiguityError instead of guessing the unwrap direction, and
-    accumulated windings must land within 0.01 of an integer.
+    accumulated windings must land within 0.01 of an integer. An `n` or
+    `resolution` that is not an int or numpy integer (a bool is not) is
+    refused with a ValueError before anything is formed.
     """
+    if not _is_integer(n):
+        raise ValueError(f"torus dimension must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("torus dimension must be at least 1")
+    if not _is_integer(resolution):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 256:
         raise ValueError("resolution below 256 cannot be trusted")
     _check_memory(
@@ -586,16 +603,24 @@ def induced_matrix_on_torus(
             live = 0
             while live < n and lows[live] >= 1e-12 and highs[live] < math.inf:
                 live += 1
-            steps = np.angle(wt[:live, 1:] / wt[:live, :-1])
-            jumps = np.abs(steps).max(axis=1)
-            sums = steps.sum(axis=1)  # the last axis is contiguous: pairwise, as a 1-D sum
+            # the step from w to w' is the phase of w' conj(w), and arctan2 of
+            # its strided parts takes np.angle's own scalar path; past 2^511 in
+            # modulus that product may overflow, so such samples are divided
+            later, earlier = wt[:live, 1:], wt[:live, :-1]
+            if max(highs[:live], default=0.0) < 2.0**511:
+                turns = later * np.conj(earlier)
+            else:
+                turns = later / earlier
+            steps = np.arctan2(turns.imag, turns.real)
+            jumps = np.abs(steps).max(axis=1).tolist()
+            sums = steps.sum(axis=1).tolist()  # the last axis is contiguous: pairwise, as a 1-D sum
             for s in range(live):
-                if float(jumps[s]) > np.pi / 2:
+                if jumps[s] > np.pi / 2:
                     raise PhaseAmbiguityError(
                         f"phase jump too close to pi on loop {j + 1}, coordinate {s + 1}; "
                         "raise the resolution"
                     )
-                winding = float(sums[s]) / (2.0 * np.pi)
+                winding = sums[s] / (2.0 * np.pi)
                 nearest = round(winding)
                 if abs(winding - nearest) > 0.01:
                     raise PhaseAmbiguityError(
@@ -623,15 +648,24 @@ def _require_float_range(value: int, what: str, *where: object) -> None:
 
 def p_a_torus_map(a: IntMatrix) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized complex twin of p_a_eval, for winding measurements; its
-    result is a transposed view of one contiguous row per image coordinate."""
+    result is a transposed view of one contiguous row per image coordinate.
+    A slot equal to 1 at every sample is held: its entries are left out of
+    the products, so a row with nothing else left is 1."""
     for r, row in enumerate(a.rows, 1):
         for c, e in enumerate(row, 1):
             _require_float_range(e, "matrix entry ({}, {})", r, c)
 
     def apply(z: np.ndarray) -> np.ndarray:
         zz = np.asarray(z, dtype=complex)
+        # a slot that is 1 at every sample, as all but one are on a winding's
+        # basis loop, is held: 1 ** e is exactly 1 + 0j and x (1 + 0j) has
+        # x's value wherever x is finite, so its entries are dropped and its
+        # powers never formed
+        ne = zz != 1
+        moving = np.ascontiguousarray(ne.reshape(-1, ne.shape[-1]).T).any(axis=1).tolist()
+        rows = [[e if moving[c] else 0 for c, e in enumerate(row)] for row in a.rows]
         # 1.0 / x, not np.reciprocal: the pinned windings keep its bits
-        acc = _power_products(a.rows, [zz[..., c] for c in range(a.n)], lambda x: 1.0 / x)
+        acc = _power_products(rows, [zz[..., c] for c in range(a.n)], lambda x: 1.0 / x)
         out = np.empty(zz.shape[::-1], dtype=complex).T
         for s, product in enumerate(acc):
             out[..., s] = 1.0 if product is None else product

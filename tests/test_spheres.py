@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -381,6 +382,17 @@ def test_psi_rejects_non_unit():
         psi_eval(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         psi_eval(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+
+def test_psi_refuses_a_base_that_is_not_a_vector():
+    # a unit norm alone let these through: the map failed on its first call
+    # with numpy's matmul error, and psi_eval(1.0, 1.0) with the same
+    for x in (np.array([[1.0, 0.0]]), np.array([[0.6], [0.8]]), 1.0, np.float64(-1.0)):
+        shape = np.shape(x)
+        with pytest.raises(ValueError, match=rf"^psi base must be a vector, got shape {re.escape(str(shape))}$"):
+            psi_map(x)
+        with pytest.raises(ValueError, match=rf"^psi base must be a vector, got shape {re.escape(str(shape))}$"):
+            psi_eval(x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +792,14 @@ def test_induced_resolution_interplay():
     assert induced_matrix_on_torus(p_a_torus_map(a), 1, resolution=1024) == a
 
 
+def test_windings_of_samples_past_2_511_in_modulus_are_measured():
+    # the product of two such samples may overflow, and with it the step
+    # taken from it; their quotient does not
+    for scale in (2.0**511, 1e155, 1e200, 1e300):
+        assert induced_matrix_on_torus(lambda z, s=scale: z * s, 2) == IntMatrix.identity(2)
+        assert induced_matrix_on_torus(lambda z, s=scale: z**-3 * s, 1) == IntMatrix([[-3]])
+
+
 def test_induced_rejects_bad_maps():
     with pytest.raises(ValueError):
         induced_matrix_on_torus(lambda z: z, 2, resolution=100)
@@ -848,6 +868,21 @@ def test_non_finite_image_is_named_without_warnings(fn, n, coordinate, loop):
             match=rf"^image coordinate {coordinate} is not finite on loop {loop}; winding undefined$",
         ):
             induced_matrix_on_torus(fn, n)
+
+
+def test_induced_refuses_a_dimension_or_resolution_that_is_not_an_integer():
+    def never_called(z):
+        raise AssertionError("the map ran")
+
+    for n in (2.0, 1.5, True, np.True_, None, "2"):
+        with pytest.raises(ValueError, match=rf"^torus dimension must be an integer, got {re.escape(repr(n))}$"):
+            induced_matrix_on_torus(never_called, n)
+    for resolution in (1024.5, 1024.0, True, np.False_, None, "1024", np.float64(2048.0)):
+        with pytest.raises(ValueError, match=rf"^resolution must be an integer, got {re.escape(repr(resolution))}$"):
+            induced_matrix_on_torus(never_called, 2, resolution=resolution)
+    # Python and numpy integers still run, to the same matrix
+    a = IntMatrix([[2, -1], [1, 3]])
+    assert induced_matrix_on_torus(p_a_torus_map(a), np.int8(2), resolution=np.uint16(1024)) == a
 
 
 def test_induced_refuses_resolutions_past_the_memory_cap():
@@ -932,10 +967,60 @@ def test_p_a_torus_map_forms_each_column_power_once(monkeypatch):
 
     monkeypatch.setattr(spheres, "_square_and_multiply", counted)
     a = IntMatrix([[3, 1, 0], [3, -1, 0], [3, -1, 0]])
-    p_a_torus_map(a)(np.ones((5, 3), dtype=complex))
+    p_a_torus_map(a)(np.exp(1j * np.random.default_rng(926).uniform(0.0, 2.0 * np.pi, (5, 3))))
     # column 1's exponent 3 and column 2's 1 and -1: one power each, where
     # the rows ask for six
     assert formed == [3, 1, 1]
+
+
+def test_a_held_slot_forms_no_power_and_no_reciprocal(monkeypatch):
+    powers, reciprocals = [], []
+    power_products = spheres._power_products
+
+    def counted(base, exponent):
+        powers.append((base.copy(), exponent))
+        return _square_and_multiply(base, exponent)
+
+    def counted_products(rows, bases, reciprocal):
+        def counted_reciprocal(x):
+            reciprocals.append(x.copy())
+            return reciprocal(x)
+
+        return power_products(rows, bases, counted_reciprocal)
+
+    monkeypatch.setattr(spheres, "_square_and_multiply", counted)
+    monkeypatch.setattr(spheres, "_power_products", counted_products)
+    circle = spheres._circle(1024)
+    a = IntMatrix([[2, -3, 5], [-1, 4, 0], [0, -7, 0]])
+    for j in range(3):  # a winding's basis loops: every slot but j is held
+        powers.clear()
+        reciprocals.clear()
+        z = np.ones((1025, 3), dtype=complex)
+        z[:, j] = circle
+        image = p_a_torus_map(a)(z)
+        # only slot j's powers are formed, of its samples or their reciprocal
+        column = [row[j] for row in a.rows if row[j]]
+        assert sorted(e for _, e in powers) == sorted({abs(e) for e in column})
+        assert [x.tobytes() for x in reciprocals] == [circle.tobytes()] * any(e < 0 for e in column)
+        for base, e in powers:
+            assert base.tobytes() == (circle if e in column else 1.0 / circle).tobytes()
+        # a row with no entry in column j is 1
+        for r, row in enumerate(a.rows):
+            if not row[j]:
+                assert image[:, r].tobytes() == np.ones(1025, dtype=complex).tobytes()
+    assert induced_matrix_on_torus(p_a_torus_map(a), 3) == a
+
+
+def test_a_slot_that_is_1_at_all_samples_but_one_is_not_held():
+    a = IntMatrix([[1, 3], [-2, 5]])
+    rng = np.random.default_rng(927)
+    for t in (0, 1, 500, 1024):
+        z = np.ones((1025, 2), dtype=complex)
+        z[:, 0] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1025))
+        z[t, 1] = np.exp(0.25j)
+        got, want = p_a_torus_map(a)(z), _per_entry_torus_map(a)(z)
+        assert got.tobytes() == want.tobytes()
+        assert got[t, 0] != z[t, 0] and got[t, 1] != z[t, 0] ** -2
 
 
 def test_p_a_torus_map_basis_loop_images_are_frozen():
