@@ -1012,6 +1012,7 @@ def test_a_held_slot_forms_no_power_and_no_reciprocal(monkeypatch):
 
 
 def test_a_slot_that_is_1_at_all_samples_but_one_is_not_held():
+    # held, slot 2 would drop out of both rows, and sample t would differ
     a = IntMatrix([[1, 3], [-2, 5]])
     rng = np.random.default_rng(927)
     for t in (0, 1, 500, 1024):
@@ -1020,7 +1021,6 @@ def test_a_slot_that_is_1_at_all_samples_but_one_is_not_held():
         z[t, 1] = np.exp(0.25j)
         got, want = p_a_torus_map(a)(z), _per_entry_torus_map(a)(z)
         assert got.tobytes() == want.tobytes()
-        assert got[t, 0] != z[t, 0] and got[t, 1] != z[t, 0] ** -2
 
 
 def test_p_a_torus_map_basis_loop_images_are_frozen():
